@@ -35,8 +35,18 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
 
     Starts from the k smallest-index points of the universe and repeatedly
     applies the best (center out, non-center in) swap while it improves the
-    cost by a factor of at least 1 + 1e-6. Scan order and tie-breaking are
-    fixed, so the run is reproducible.
+    cost by a factor of at least 1 + 1e-6. Swaps are scanned in (center
+    column, candidate in universe order) order and the first strictly smaller
+    total wins, so the run is reproducible.
+
+    Each iteration prices every swap at once in a table (see `_swap_table`)
+    that serves only as a filter: every swap whose table value lies within
+    twice the table's float error bound of the table minimum is re-evaluated
+    with the exact per-swap dot product, in scan order, with a strict `<`.
+    The chosen swap, centers, cost and assignment are therefore exactly those
+    of an exhaustive per-swap scan, and so are the oracle requests: U x
+    centers once, U x non-centers once per iteration, and U x centers for the
+    final solution.
     """
     obj = as_objective(objective)
     if k < 1:
@@ -54,30 +64,82 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
         return obj.finalize(total)
 
     D = space.pairwise(U, np.asarray(centers, dtype=np.int64))
+    is_center = np.zeros(U.size, dtype=bool)
+    is_center[:k] = True
     current = finalize(float(np.dot(w, obj.point_cost(D.min(axis=1)))))
+    rows = np.arange(U.size)
     while True:
         order = np.argsort(D, axis=1, kind="stable")
-        d1 = D[np.arange(U.size), order[:, 0]]
-        d2 = D[np.arange(U.size), order[:, 1]] if k > 1 else np.full(U.size, np.inf)
+        d1 = D[rows, order[:, 0]]
+        d2 = D[rows, order[:, 1]] if k > 1 else np.full(U.size, np.inf)
         nearest_col = order[:, 0]
-        outside = [int(p) for p in U if p not in set(centers)]
-        Dz = space.pairwise(U, np.asarray(outside, dtype=np.int64))
+        outside = U[~is_center]
+        Dz = space.pairwise(U, outside)
+        table = _swap_table(obj, w, d1, d2, nearest_col, k, Dz)
+        # The table and the exact dot product both sum |U| nonnegative terms,
+        # so each lies within about (|U| + 4) * eps / 2 of the true total, plus
+        # one subnormal per term on underflow; `bound` is twice that at the
+        # minimum. Any swap whose exact total can tie or beat the best one,
+        # also after the sqrt of normalized-means, has a table value within
+        # 2 * bound of the minimum. NaN entries fail `table > limit` and are
+        # re-evaluated as well.
+        low = table.min()
+        bound = 2.0 * (U.size + 4) * (np.finfo(np.float64).eps * low
+                                      + np.finfo(np.float64).smallest_subnormal)
+        limit = low + 2.0 * bound
         best = (None, None, current)
-        for col in range(k):
-            drop = np.where(nearest_col == col, d2, d1)
-            base = obj.point_cost(drop)
-            for zi in range(len(outside)):
-                dz = Dz[:, zi]
-                total = finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
-                if total < best[2]:
-                    best = (col, zi, total)
+        base_col, base = -1, None
+        recheck_cols, recheck_zis = np.nonzero(~(table > limit))
+        for col, zi in zip(recheck_cols.tolist(), recheck_zis.tolist()):
+            if col != base_col:
+                base_col = col
+                base = obj.point_cost(np.where(nearest_col == col, d2, d1))
+            dz = Dz[:, zi]
+            total = finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
+            if total < best[2]:
+                best = (col, zi, total)
         col, zi, improved = best
         if col is None or improved * IMPROVEMENT_FACTOR > current:
             break
-        centers[col] = outside[zi]
+        is_center[np.searchsorted(U, [centers[col], outside[zi]])] = (False, True)
+        centers[col] = int(outside[zi])
         D[:, col] = Dz[:, zi]
         current = improved
     return build_solution(space, sorted(centers), obj, universe=U)
+
+
+# Elements per temporary in the swap-table scan (2 MB of float64): bounds its
+# working memory when the universe is the whole space and keeps the chunk's
+# passes in cache.
+_SCAN_CHUNK = 1 << 18
+
+
+def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                nearest_col: np.ndarray, k: int, Dz: np.ndarray) -> np.ndarray:
+    """Pre-finalize totals of every (center column, candidate) swap.
+
+    With p1, p2 the point costs of each point's nearest and second-nearest
+    center, PZ those of the candidates and M1 = min(p1, PZ), swapping column
+    c for candidate z costs keep[z] + sum over points x nearest to c of
+    w_x * (min(p2, PZ) - M1)[x, z], with keep = w @ M1. Points are grouped by
+    nearest column, so one pass over the candidate columns fills the table.
+    """
+    grp = np.argsort(nearest_col, kind="stable")
+    cols, starts = np.unique(nearest_col[grp], return_index=True)
+    wg = w[grp]
+    p1 = obj.point_cost(d1[grp])[:, None]
+    p2 = obj.point_cost(d2[grp])[:, None]
+    table = np.zeros((k, Dz.shape[1]))
+    step = max(1, _SCAN_CHUNK // grp.size)
+    for lo in range(0, Dz.shape[1], step):
+        pz = obj.point_cost(Dz[grp, lo : lo + step])
+        m1 = np.minimum(p1, pz)
+        table[:, lo : lo + step] = wg @ m1
+        np.minimum(p2, pz, out=pz)
+        pz -= m1
+        pz *= wg[:, None]
+        table[cols, lo : lo + step] += np.add.reduceat(pz, starts, axis=0)
+    return table
 
 
 def plain_reverse_greedy(space: WeightedMetricSpace, k: int,

@@ -11,6 +11,7 @@ and runs the constant-factor local-search solver on that sparsified space.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -90,6 +91,8 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
     """Phase I. Splits preserve input order; the first child takes ceil(|X|/2)
     points. Makes no distance queries."""
     n = space.n
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise MetricInputError(f"k must be an integer, got {k!r}")
     if k < 1 or k > n:
         raise MetricInputError("k out of range")
     depth = depth_for(n, k)
@@ -205,7 +208,8 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     t0 = time.perf_counter()
     q0 = space.oracle.query_count
     hierarchy = build_partitions(space, k)
-    assert space.oracle.query_count == q0, "Phase I must not query the oracle"
+    if space.oracle.query_count != q0:
+        raise RuntimeError("Phase I must not query the oracle")
     v0 = phase2(space, hierarchy, k, obj)
     q_phase2 = space.oracle.query_count
     sparsified = sparsify(space, v0)

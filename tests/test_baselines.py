@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import detkmed as dk
-from detkmed.baselines import build_guha_partitions, guha_hierarchical
+from detkmed.baselines import IMPROVEMENT_FACTOR, build_guha_partitions, guha_hierarchical
 from detkmed.metric import leq
 
 
@@ -199,3 +199,112 @@ def _full(sp, spars):
     w = np.zeros(sp.n)
     w[spars.points] = spars.weights
     return w
+
+
+def _reference_local_search(space, k, objective="median", universe=None):
+    """Exhaustive per-swap scan: one dot product per (center, candidate)
+    pair, U x outside re-queried every iteration. The reference that
+    local_search_kmedian must match bit for bit."""
+    obj = dk.Objective(objective)
+    U = space.all_points() if universe is None else np.sort(np.unique(universe))
+    w = space.weights[U]
+    centers = [int(c) for c in U[:k]]
+    if k == U.size:
+        return dk.build_solution(space, centers, obj, universe=U)
+    D = space.pairwise(U, np.asarray(centers, dtype=np.int64))
+    current = obj.finalize(float(np.dot(w, obj.point_cost(D.min(axis=1)))))
+    while True:
+        order = np.argsort(D, axis=1, kind="stable")
+        d1 = D[np.arange(U.size), order[:, 0]]
+        d2 = D[np.arange(U.size), order[:, 1]] if k > 1 else np.full(U.size, np.inf)
+        nearest_col = order[:, 0]
+        outside = [int(p) for p in U if p not in set(centers)]
+        Dz = space.pairwise(U, np.asarray(outside, dtype=np.int64))
+        best = (None, None, current)
+        for col in range(k):
+            base = obj.point_cost(np.where(nearest_col == col, d2, d1))
+            for zi in range(len(outside)):
+                dz = Dz[:, zi]
+                total = obj.finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
+                if total < best[2]:
+                    best = (col, zi, total)
+        col, zi, improved = best
+        if col is None or improved * IMPROVEMENT_FACTOR > current:
+            break
+        centers[col] = outside[zi]
+        D[:, col] = Dz[:, zi]
+        current = improved
+    return dk.build_solution(space, sorted(centers), obj, universe=U)
+
+
+def _tie_heavy_corpus():
+    """Weighted integer l1 grids, small-integer distance matrices (every
+    matrix with entries in [1, 2] is a metric; scaled by 0.1 their sums round
+    differently in different orders), and weighted random instances."""
+    rng = np.random.default_rng(7)
+    spaces = []
+    for n in (9, 16, 23, 30):
+        grid = rng.integers(0, 4, size=(n, 2)).astype(float)
+        weights = rng.integers(1, 9, size=n).astype(float)
+        spaces.append(dk.WeightedMetricSpace.from_points(grid, norm="l1"))
+        spaces.append(dk.WeightedMetricSpace.from_points(grid, weights, norm="l1"))
+        raw = np.triu(rng.integers(1, 3, size=(n, n)), 1).astype(float)
+        spaces.append(dk.WeightedMetricSpace.from_matrix(raw + raw.T, weights))
+        spaces.append(dk.WeightedMetricSpace.from_matrix(0.1 * (raw + raw.T)))
+        spaces.append(dk.generators.random_matrix(n, seed=n, unit_weights=False))
+        spaces.append(dk.generators.uniform_points(n, seed=n, unit_weights=False))
+    # at k = 4 center 3 is swapped out, then swapped back in tied with its
+    # duplicate 7: the tie goes to 3 only if it re-enters in universe order
+    grid = [[3, 0], [2, 2], [0, 0], [3, 1], [0, 0], [0, 0], [2, 0], [3, 1],
+            [1, 2], [2, 0], [0, 0], [0, 3], [0, 1], [1, 2], [1, 0]]
+    weights = [2, 1, 8, 7, 5, 3, 4, 1, 6, 8, 2, 8, 1, 1, 7]
+    spaces.append(dk.WeightedMetricSpace.from_points(grid, weights, norm="l1"))
+    return spaces
+
+
+def _assert_same(a, b):
+    assert a.centers == b.centers
+    assert a.cost.hex() == b.cost.hex()
+    assert np.array_equal(a.assignment, b.assignment)
+
+
+@pytest.mark.parametrize("objective", ["median", "means", "normalized-means"])
+def test_local_search_matches_reference_scan(objective, monkeypatch):
+    import detkmed.baselines as baselines
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for sp in _tie_heavy_corpus():
+        # whole space, and a weighted survivor view built the way extract_k does
+        views = [(sp, None)]
+        U = np.sort(rng.choice(sp.n, size=sp.n // 2 + 2, replace=False))
+        w_full = np.zeros(sp.n)
+        w_full[U] = rng.integers(1, 5, size=U.size)
+        views.append((sp.with_weights(w_full), U))
+        for view, universe in views:
+            size = sp.n if universe is None else U.size
+            for k in sorted({1, 2, 3, 4, 6, size - 1} & set(range(1, size))):
+                ref = _reference_local_search(view, k, objective, universe)
+                _assert_same(dk.local_search_kmedian(view, k, objective, universe), ref)
+                checked += 1
+    # the same answers when the swap table is filled a few columns at a time
+    monkeypatch.setattr(baselines, "_SCAN_CHUNK", 16)
+    for sp in _tie_heavy_corpus()[:4]:
+        ref = _reference_local_search(sp, 3, objective)
+        _assert_same(dk.local_search_kmedian(sp, 3, objective), ref)
+    assert checked >= 200
+
+
+def test_local_search_queries_match_reference_scan():
+    sp = dk.generators.uniform_points(40, seed=3)
+    n, k = sp.n, 5
+    q0 = sp.oracle.query_count
+    ref = _reference_local_search(sp, k)
+    ref_queries = sp.oracle.query_count - q0
+    # U x centers twice, U x non-centers once per iteration
+    swaps = (ref_queries - 2 * n * k) // (n * (n - k)) - 1
+    assert swaps >= 3
+    q0 = sp.oracle.query_count
+    sol = dk.local_search_kmedian(sp, k)
+    assert sp.oracle.query_count - q0 == ref_queries
+    _assert_same(sol, ref)

@@ -48,6 +48,26 @@ def test_build_partitions_rejects_bad_k():
         dk.build_partitions(sp, 5)
     with pytest.raises(dk.MetricInputError):
         dk.build_partitions(sp, 0)
+    for bad in (1.5, 2.0, np.float64(2.0), True):
+        with pytest.raises(dk.MetricInputError):
+            dk.build_partitions(sp, bad)
+    with pytest.raises(dk.MetricInputError):
+        dk.hierarchical_cluster(sp, 1.5)
+    assert dk.build_partitions(sp, np.int64(2)).depth == 1
+
+
+def test_pipeline_raises_when_phase1_queries(monkeypatch):
+    import detkmed.hierarchy as hierarchy
+
+    build = hierarchy.build_partitions
+
+    def querying_build(space, k):
+        space.distance(0, 1)
+        return build(space, k)
+
+    monkeypatch.setattr(hierarchy, "build_partitions", querying_build)
+    with pytest.raises(RuntimeError, match="Phase I"):
+        dk.hierarchical_cluster(line_space(range(8)), 2)
 
 
 def test_phase2_small_space_keeps_everything():
