@@ -9,13 +9,21 @@ answered with the exact shortest path through the graph augmented by implicit
 weight-1 edges between open pairs (of which a shortest path uses at most one,
 so that one edge is materialized when chosen).
 
+The graph is held as one dict per vertex mapping neighbor to weight, plus a
+push counter per vertex (the degree that closes it, repeated virtual edges
+included) and, per vertex, the list of its unit-weight neighbors in push
+order, which fixes the round-robin order of virtual-edge anchors.
+
 Shortest paths are computed exactly without materializing the open clique:
-a common-neighbor two-hop scan (which includes the gate route of weight 2L),
-a best candidate using one virtual edge anchored at unit-weight open
-neighbors, and an enumeration threshold below which those candidates are
-provably exhaustive; only candidates above the threshold fall back to a
-capped Dijkstra that relaxes the open clique once at the first open vertex
-it settles.
+the best two-edge path, a best candidate using one virtual edge anchored at
+unit-weight open neighbors, and an enumeration threshold below which those
+candidates are provably exhaustive; only candidates above the threshold fall
+back to a capped Dijkstra that relaxes the open clique once at the first open
+vertex it settles. The two-edge minimum needs no scan in three regimes: the
+gate route 2L when it already meets the lower bound 2*min(1, L); 2 when the
+endpoints share a unit neighbor; and 2L again while it costs at most one unit
+edge plus the lightest other edge. Only past that are common neighbors
+enumerated, by intersecting the two vertex maps.
 """
 
 from __future__ import annotations
@@ -33,10 +41,10 @@ from .metric import (
     DistanceOracle,
     MetricInputError,
     Objective,
-    REL_TOL,
     Solution,
     WeightedMetricSpace,
     as_objective,
+    close,
     leq,
 )
 
@@ -83,17 +91,25 @@ class AdversarySession:
         self.final_centers: list[int] | None = None
 
         size = n + 1
-        self._nbr = [array("i") for _ in range(size)]
-        self._wt = [array("d") for _ in range(size)]
-        self._unit_nbrs = [array("i") for _ in range(size)]
-        self._edge: dict[int, float] = {}
+        L = self.L
+        # gate star, built in bulk: exactly what n _push_edge(x, gate, L)
+        # calls leave behind
+        self._adj: list[dict[int, float]] = [{self.gate: L} for _ in range(n)]
+        self._adj.append(dict.fromkeys(range(n), L))
+        self._deg = array("i", [1]) * size
+        self._deg[self.gate] = n
+        self._edges = n
         self.status = bytearray([1]) * size
         self.status[self.gate] = 0
         self.open_count = n
         self._open_unit = array("i", bytes(4 * size))
         self._unit_cursor = array("i", bytes(4 * size))
-        for x in range(n):
-            self._push_edge(x, self.gate, self.L)
+        if L == 1.0:
+            self._unit_nbrs = [array("i", [self.gate]) for _ in range(n)]
+            self._unit_nbrs.append(array("i", range(n)))
+            self._open_unit[self.gate] = n
+        else:
+            self._unit_nbrs = [array("i") for _ in range(size)]
         self._qx = array("i")
         self._qy = array("i")
         self._qa = array("d")
@@ -104,17 +120,16 @@ class AdversarySession:
 
     # -- graph bookkeeping -------------------------------------------------
 
-    def _key(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return u * (self.n + 1) + v
-
     def _push_edge(self, u: int, v: int, w: float) -> None:
-        self._edge[self._key(u, v)] = w
-        self._nbr[u].append(v)
-        self._wt[u].append(w)
-        self._nbr[v].append(u)
-        self._wt[v].append(w)
+        # a repeated push is always a weight-1 virtual edge between two open
+        # vertices: the maps keep one entry, the degree counts both pushes
+        au = self._adj[u]
+        if v not in au:
+            self._edges += 1
+        au[v] = w
+        self._adj[v][u] = w
+        self._deg[u] += 1
+        self._deg[v] += 1
         if w == 1.0:
             self._unit_nbrs[u].append(v)
             self._unit_nbrs[v].append(u)
@@ -124,20 +139,31 @@ class AdversarySession:
                 self._open_unit[u] += 1
 
     def degree(self, v: int) -> int:
-        return len(self._nbr[v])
+        """Edge pushes at v, repeated virtual edges included; v closes once
+        this reaches M."""
+        return self._deg[v]
+
+    def edge_weight(self, u: int, v: int) -> float | None:
+        """Weight of the materialized edge {u, v}, or None."""
+        return self._adj[u].get(v)
+
+    def edges(self):
+        """Every materialized edge once, as (u, v, w) with u < v."""
+        for u, nbrs in enumerate(self._adj):
+            for v, w in nbrs.items():
+                if u < v:
+                    yield u, v, w
 
     def _close_if_due(self, v: int) -> None:
         if v == self.gate or not self.status[v]:
             return
-        if len(self._nbr[v]) < self.M:
+        if self._deg[v] < self.M:
             return
         self.status[v] = 0
         self.open_count -= 1
-        nbrs = self._nbr[v]
-        wts = self._wt[v]
-        for i in range(len(nbrs)):
-            if wts[i] == 1.0:
-                self._open_unit[nbrs[i]] -= 1
+        open_unit = self._open_unit
+        for u in self._unit_nbrs[v]:
+            open_unit[u] -= 1
 
     def _find_open_unit_nbr(self, v: int, skip: int = -1) -> int:
         """Some open vertex joined to v by a weight-1 edge, or -1.
@@ -170,25 +196,29 @@ class AdversarySession:
     # -- exact shortest-path machinery --------------------------------------
 
     def _two_hop(self, x: int, y: int) -> float:
-        """Exact minimum over materialized two-edge paths (gate included)."""
-        if len(self._nbr[x]) > len(self._nbr[y]):
-            x, y = y, x
-        nbrs = self._nbr[x]
-        wts = self._wt[x]
-        edge = self._edge
-        best = math.inf
+        """Exact minimum over materialized two-edge paths (gate included).
+
+        Every edge weighs at least min(1, L), so no two-edge path is shorter
+        than lb = 2*min(1, L), and the gate route L + L always exists: when
+        it reaches lb it is the answer. Otherwise L > 1, so point-point
+        edges weigh 1 or at least lb = 2: two unit edges give 2.0, and every
+        other two-edge path costs at least 1 + lb, so the gate route wins up
+        to there. Only beyond that are the common neighbors enumerated.
+        """
+        gate_route = self.L + self.L
         lb = self._lb
-        wmin = min(1.0, self.L)
-        for i in range(len(nbrs)):
-            w1 = wts[i]
-            if w1 + wmin >= best:
-                continue
-            w2 = edge.get(self._key(nbrs[i], y))
-            if w2 is not None and w1 + w2 < best:
-                best = w1 + w2
-                if best <= lb:
-                    return best
-        return best
+        if gate_route <= lb:
+            return gate_route
+        ax, ay = self._adj[x], self._adj[y]
+        ux, uy = self._unit_nbrs[x], self._unit_nbrs[y]
+        short, other = (ux, ay) if len(ux) <= len(uy) else (uy, ax)
+        if 1.0 in map(other.get, short):
+            return 2.0
+        if gate_route <= 1.0 + lb:
+            return gate_route
+        if len(ax) > len(ay):
+            ax, ay = ay, ax
+        return min([ax[m] + ay[m] for m in ax.keys() & ay.keys()])
 
     def _virtual_candidate(self, x: int, y: int):
         """Best path using exactly one open-open virtual edge: each endpoint
@@ -270,13 +300,10 @@ class AdversarySession:
                                 dist[v] = nd
                                 pred[v] = (u, True)
                                 heapq.heappush(heap, (nd, v))
-            nbrs = self._nbr[u]
-            wts = self._wt[u]
-            for i in range(len(nbrs)):
-                v = nbrs[i]
+            for v, w in self._adj[u].items():
                 if v in done:
                     continue
-                nd = d + wts[i]
+                nd = d + w
                 if nd < dist.get(v, math.inf) and nd < cap:
                     dist[v] = nd
                     pred[v] = (u, False)
@@ -312,8 +339,7 @@ class AdversarySession:
     def _answer(self, x: int, y: int) -> float:
         if x == y or not (0 <= x < self.n and 0 <= y < self.n):
             raise MetricInputError("queries must name two distinct points")
-        key = self._key(x, y)
-        existing = self._edge.get(key)
+        existing = self._adj[x].get(y)
         if existing is not None:
             ans = existing
         elif self.status[x] and self.status[y]:
@@ -374,7 +400,7 @@ class AdversarySession:
         return self.n - self.open_count
 
     def edge_count(self) -> int:
-        return len(self._edge)
+        return self._edges
 
 
 class FinalMetric:
@@ -393,7 +419,7 @@ class FinalMetric:
             return 0.0
         if s.status[x] and s.status[y]:
             return 1.0
-        direct = s._edge.get(s._key(x, y), math.inf)
+        direct = s._adj[x].get(y, math.inf)
         best = s._two_hop(x, y)
         cand = s._virtual_candidate(x, y)
         if cand is not None and cand[0] < best:
@@ -414,8 +440,7 @@ class FinalMetric:
         size = self.n + 1
         D = np.full((size, size), np.inf)
         np.fill_diagonal(D, 0.0)
-        for key, w in s._edge.items():
-            u, v = divmod(key, self.n + 1)
+        for u, v, w in s.edges():
             if w < D[u, v]:
                 D[u, v] = D[v, u] = w
         open_ids = np.array([v for v in range(self.n) if s.status[v]], dtype=np.int64)
@@ -450,10 +475,6 @@ class FinalMetricOracle(DistanceOracle):
         if self._dense is not None:
             return self._dense[np.ix_(rows, cols)]
         return super()._pairwise(rows, cols)
-
-
-def _tolerable(a: float, b: float) -> bool:
-    return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
 @dataclass
@@ -494,9 +515,7 @@ def _consistency_violations(session: AdversarySession, metric: FinalMetric) -> l
     metric. Unit edges and gate edges are tight by construction; heavier
     edges are re-derived from the frozen graph."""
     out = []
-    n1 = session.n + 1
-    for key, w in session._edge.items():
-        u, v = divmod(key, n1)
+    for u, v, w in session.edges():
         if u == session.gate or v == session.gate:
             if w != session.L:
                 out.append(f"gate edge ({u},{v}) has weight {w!r} != log_M n")
@@ -504,16 +523,15 @@ def _consistency_violations(session: AdversarySession, metric: FinalMetric) -> l
         if w == 1.0:
             continue
         d = metric.distance(u, v)
-        if not _tolerable(d, w):
+        if not close(d, w):
             out.append(f"pair ({u},{v}): answered {w!r} but final distance {d!r}")
             if len(out) > 20:
                 out.append("... consistency check aborted after 20 violations")
                 return out
     # logged answers must equal the edge weights they created
-    qx, qy, qa = session.transcript()
-    sample = range(len(qa))
-    for i in sample:
-        if session._edge[session._key(int(qx[i]), int(qy[i]))] != qa[i]:
+    adj = session._adj
+    for i, (x, y, a) in enumerate(zip(session._qx, session._qy, session._qa)):
+        if adj[x].get(y) != a:
             out.append(f"log entry {i} disagrees with its edge weight")
             break
     return out
@@ -527,8 +545,7 @@ def _unit_path_violations(session: AdversarySession, cap: int = 512) -> list[str
     n = session.n
     unit_adj: list[list[int]] = [[] for _ in range(n)]
     heavy = []
-    for key, w in session._edge.items():
-        u, v = divmod(key, n + 1)
+    for u, v, w in session.edges():
         if u == session.gate or v == session.gate:
             continue
         if w == 1.0:
@@ -678,6 +695,12 @@ class AdversaryOracle(DistanceOracle):
         if i == j:
             return 0.0
         return self.session.answer_query(i, j)
+
+    def _pairwise(self, rows, cols):
+        answer = self.session.answer_query
+        cols = cols.tolist()
+        out = [[0.0 if i == j else answer(i, j) for j in cols] for i in rows.tolist()]
+        return np.array(out, dtype=np.float64).reshape(rows.size, len(cols))
 
 
 def run_against(algorithm, n: int, k: int, delta: float,

@@ -171,7 +171,7 @@ def cmd_adversary(args) -> int:
 def cmd_verify(args) -> int:
     if args.what == "metric":
         space = load_space(args.input, args.format)
-        mode = "exhaustive" if space.n <= 1024 and args.mode != "sampled" else "sampled"
+        mode = args.mode or ("exhaustive" if space.n <= 1024 else "sampled")
         report = verify_metric(space, mode=mode, samples=args.samples)
         if report.ok:
             print(f"metric ok (n={space.n}, mode={mode})")
@@ -206,8 +206,12 @@ def cmd_verify(args) -> int:
             print(f"violation: {v}")
         return 1
     if args.what == "replay":
-        report = harness.load_report_json(args.report)
-        ok, problems = harness.replay_adversary(report)
+        try:
+            report = harness.load_report_json(args.report)
+            ok, problems = harness.replay_adversary(report)
+        except (KeyError, TypeError, ValueError) as exc:
+            # json.JSONDecodeError is a ValueError
+            raise MetricInputError(f"malformed report: {exc!r}") from None
         if ok:
             print(f"replay consistent ({len(report['queries'])} answers)")
             return 0
@@ -283,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--input", required=True)
     vm.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
                     default="matrix")
-    vm.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
+    vm.add_argument("--mode", choices=["exhaustive", "sampled"],
+                    help="default: exhaustive for n <= 1024, sampled above")
     vm.add_argument("--samples", type=int, default=2000)
     vc = vs.add_parser("certificate")
     vc.add_argument("--cert", required=True)
@@ -318,7 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MetricInputError, FileNotFoundError, EnumerationBudgetError) as exc:
+    except (MetricInputError, OSError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

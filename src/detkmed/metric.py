@@ -357,7 +357,7 @@ def verify_metric(space: WeightedMetricSpace, mode: str = "exhaustive",
             "metric verification is only defined on a finalized metric")
     if mode == "exhaustive":
         if n > 1024:
-            raise ValueError("exhaustive verification requires n <= 1024")
+            raise MetricInputError("exhaustive verification requires n <= 1024")
         U = space.all_points()
         D = space.pairwise(U, U)
         for i in np.nonzero(np.diag(D) != 0.0)[0]:

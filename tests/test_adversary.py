@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import detkmed as dk
 from detkmed.adversary import AdversarySession, AdversaryOracle, run_against
+from detkmed.cli import main
 from detkmed.harness import adversary_algorithm
 from detkmed.metric import Objective
 
@@ -14,10 +17,8 @@ from detkmed.metric import Objective
 def build_hat_graph(sess):
     """Materialized auxiliary graph: testing oracle for small sessions."""
     G = nx.Graph()
-    n1 = sess.n + 1
-    G.add_nodes_from(range(n1))
-    for key, w in sess._edge.items():
-        u, v = divmod(key, n1)
+    G.add_nodes_from(range(sess.n + 1))
+    for u, v, w in sess.edges():
         G.add_edge(u, v, weight=w)
     opens = [v for v in range(sess.n) if sess.status[v]]
     for i in range(len(opens)):
@@ -74,17 +75,55 @@ def test_statuses_never_reopen_and_m_threshold():
                 assert sess.degree(v) < sess.M + 2
 
 
-def test_answers_match_materialized_oracle_randomized():
-    n = 72
-    sess = AdversarySession(n, 1, 1.0)
+def _check_against_materialized_oracle(sess):
     rng = np.random.default_rng(151)
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = list(itertools.combinations(range(sess.n), 2))
     rng.shuffle(pairs)
     for x, y in pairs[:1800]:
-        existing = sess._edge.get(sess._key(x, y))
+        existing = sess.edge_weight(x, y)
         expected = existing if existing is not None else \
             nx.dijkstra_path_length(build_hat_graph(sess), x, y)
         assert sess.answer_query(x, y) == pytest.approx(expected, rel=1e-12)
+
+
+def test_answers_match_materialized_oracle_randomized():
+    _check_against_materialized_oracle(AdversarySession(72, 1, 1.0))
+
+
+def test_answers_match_materialized_oracle_unit_gate_edges():
+    # delta = n / (10 log2 n) puts M = n, so L = 1: the gate edges are unit
+    # edges from the start and count as open unit neighbors of the gate
+    sess = AdversarySession(72, 1, 1.1669509756304806)
+    assert sess.L == 1.0
+    _check_against_materialized_oracle(sess)
+
+
+def test_repeated_virtual_edge_counts_toward_degree_only():
+    # two closed hubs whose unit neighbors are already joined: the virtual
+    # edge their answer materializes exists, so the edge count grows by the
+    # answered pair alone while both anchors' degrees, which close them at M,
+    # grow as for a fresh edge
+    n = 1024
+    sess = AdversarySession(n, 1, 1.0)
+    assert sess.L > 1.5  # the gate route 2L loses to three unit edges
+    block0, block1 = range(10, 18), range(18, 26)
+    for a in block0:
+        for b in block1:
+            sess.answer_query(a, b)
+    fresh = 100
+    for hub, block in ((0, block0), (1, block1)):
+        for b in block:
+            sess.answer_query(hub, b)
+        while sess.status[hub]:
+            sess.answer_query(hub, fresh)
+            fresh += 1
+    edges = sess.edge_count()
+    degrees = [sess.degree(v) for v in range(26)]
+    assert sess.answer_query(0, 1) == 3.0
+    assert sess.edge_count() == edges + 1
+    grown = [v for v in range(2, 26) if sess.degree(v) > degrees[v]]
+    assert len(grown) == 2 and sess.edge_weight(*grown) == 1.0
+    assert all(sess.degree(v) == degrees[v] + 1 for v in grown)
 
 
 def test_at_most_two_edges_per_answer():
@@ -198,7 +237,7 @@ def test_audit_session_counts_and_gate():
     sess = result.session
     assert audit.passed, audit.violations
     assert audit.edges_total <= 2 * (audit.algo_queries + audit.artificial_queries) + n
-    assert all(w == sess.L for w in sess._wt[sess.gate])
+    assert all(w == sess.L for _, v, w in sess.edges() if v == sess.gate)
     assert not sess.status[sess.gate]
     assert audit.consistency_pairs == audit.algo_queries + audit.artificial_queries
 
@@ -241,3 +280,77 @@ def test_means_mode_uses_squared_threshold():
     result = run_against(adversary_algorithm("local-search"), 128, 1, 1.0, "means")
     assert result.audit.objective is Objective.MEANS
     assert result.audit.passed, result.audit.violations
+
+
+# Recorded before the engine moved from one global edge dict to per-vertex
+# maps: sha256 of the qx, qy, qa transcript bytes, edge_count(),
+# closed_points() and solution_cost.hex(). The three hierarchical cases cover
+# the three two-hop regimes (L ~ 0.91: gate route at the lower bound;
+# L ~ 1.31: gate route within one unit edge of it; L ~ 1.52: scan).
+GOLDEN = [
+    ("hierarchical", 1030, 2, "means",
+     "518d7fdf62becb4875c3de379b3ea3d50adbe94d7ccaac21128162c9b4323a2a",
+     31470, 0, "0x1.0100000000000p+10"),
+    ("hierarchical", 1030, 2, "median",
+     "f21de7e4a850eb1ffdb41b619bcd1e53b265d85cefeddb93543a04392040b4a3",
+     33913, 32, "0x1.a0791b9d53129p+10"),
+    ("hierarchical", 4096, 2, "median",
+     "d4ac94b35f44577939081c0137cc853d9ce3ae4c33071ad5a55b1294ee3ad37f",
+     185936, 128, "0x1.e8e0000000000p+12"),
+    ("guha", 300, 3, "means",
+     "4878d60daf144fedeb974688d1a3bb9dd02dd2d5dad6024fd21b20fada32fc27",
+     2796, 0, "0x1.2900000000000p+8"),
+    ("reverse-greedy", 300, 3, "means",
+     "2320793afad4260973c1d6f669ad924f030b9f33a176d12b07b7432d27bda5f7",
+     45150, 0, "0x1.2900000000000p+8"),
+]
+
+
+@pytest.mark.parametrize("algo,n,k,objective,digest,edges,closed,cost", GOLDEN)
+def test_golden_transcripts(algo, n, k, objective, digest, edges, closed, cost):
+    result = run_against(adversary_algorithm(algo), n, k, 1.0, objective)
+    qx, qy, qa = result.session.transcript()
+    assert hashlib.sha256(qx.tobytes() + qy.tobytes() + qa.tobytes()).hexdigest() == digest
+    assert result.session.edge_count() == edges
+    assert result.session.closed_points() == closed
+    assert result.audit.solution_cost.hex() == cost
+    assert result.audit.passed, result.audit.violations
+
+
+def test_two_hop_matches_brute_force_in_scan_regime():
+    n = 1024
+    sess = AdversarySession(n, 1, 1.0)
+    assert 1.5 < sess.L < 1.51  # 2L exceeds 1 + 2, so the two-hop scans
+    rng = np.random.default_rng(17)
+    # 40 hubs queried against random points close; queries among the first
+    # 200 points then add heavy edges at the closed hubs
+    for _ in range(6000):
+        x, y = int(rng.integers(0, 40)), int(rng.integers(0, n))
+        if x != y:
+            sess.answer_query(x, y)
+    for _ in range(3000):
+        x, y = (int(v) for v in rng.integers(0, 200, 2))
+        if x != y:
+            sess.answer_query(x, y)
+    assert sess.closed_points() == 40
+    adj = [{} for _ in range(n + 1)]
+    for u, v, w in sess.edges():
+        adj[u][v] = adj[v][u] = w
+    seen = set()
+    for _ in range(3000):
+        x, y = (int(v) for v in rng.integers(0, 200, 2))
+        if x == y:
+            continue
+        brute = min(w + adj[y][m] for m, w in adj[x].items() if m in adj[y])
+        assert sess._two_hop(x, y) == brute
+        seen.add(brute)
+    # unit-unit, unit-heavy and gate routes all occur among the samples
+    assert {2.0, 3.0, 2 * sess.L} <= seen
+
+
+def test_report_replay_roundtrip_cli(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["adversary", "--n", "128", "--k", "2", "--objective", "means",
+                 "--emit-report", str(report)]) == 0
+    assert json.loads(report.read_text())["n"] == 128
+    assert main(["verify", "replay", "--report", str(report)]) == 0

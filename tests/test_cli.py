@@ -194,3 +194,40 @@ def test_adversary_cli_budget_exit(tmp_path):
     rc = main(["adversary", "--algo", "reverse-greedy", "--n", "64", "--k", "2",
                "--delta", "1", "--enforce-budget"])
     assert rc == 1
+
+
+def test_replay_rejects_non_json_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("{not json")
+    assert main(["verify", "replay", "--report", str(report)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [{"n": 16}, [1, 2, 3]])
+def test_replay_rejects_malformed_report(tmp_path, capsys, payload):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert main(["verify", "replay", "--report", str(report)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "replay", "--report"],
+    ["cluster", "--algo", "hierarchical", "--k", "1", "--input"],
+    ["verify", "metric", "--input"],
+])
+def test_directory_inputs_exit_2(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_metric_mode_choice(tmp_path, matrix_file, capsys):
+    assert main(["verify", "metric", "--input", str(matrix_file)]) == 0
+    assert "mode=exhaustive" in capsys.readouterr().out
+    inst = tmp_path / "pts.csv"
+    write_points_csv(inst, np.random.default_rng(0).random((1100, 2)))
+    args = ["verify", "metric", "--input", str(inst), "--format", "points-l2"]
+    assert main(args + ["--mode", "exhaustive"]) == 2
+    assert "n <= 1024" in capsys.readouterr().err
+    assert main(args) == 0
+    assert "mode=sampled" in capsys.readouterr().out
