@@ -30,8 +30,8 @@ def main() -> None:
         for seed in range(args.seeds):
             for algo in ("hierarchical", "guha", "reverse-greedy", "local-search"):
                 space = gen(args.n, seed)
-                _, rec = run_algorithm(algo, space, args.k, delta=2.0,
-                                       instance=f"{gen_name}-{seed}")
+                _, rec, _ = run_algorithm(algo, space, args.k, delta=2.0,
+                                          instance=f"{gen_name}-{seed}")
                 rec = attach_ratio(rec, space, args.k)
                 rows.append(rec)
 

@@ -14,13 +14,11 @@ from .baselines import (
     build_guha_partitions,
     guha_hierarchical,
     local_search_kmedian,
-    plain_reverse_greedy,
 )
 from .greedy import (
     BoundCertificate,
     GreedyState,
     audit_certificate,
-    greedy_step,
     naive_reverse_greedy,
     res_greedy,
 )

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generators import metric_closure
 from .metric import (
     ABS_TOL,
     DistanceOracle,
@@ -44,6 +45,7 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     as_objective,
+    check_k,
     close,
     leq,
 )
@@ -65,10 +67,10 @@ class AdversarySession:
             raise MetricInputError("adversary supports median and means objectives")
         if n < 2:
             raise MetricInputError("adversary needs at least two points")
-        if k < 1 or delta < 1:
-            raise MetricInputError("k and delta must be at least 1")
+        if delta < 1:
+            raise MetricInputError("delta must be at least 1")
         self.n = n
-        self.k = k
+        self.k = check_k(k, n)
         self.delta = delta
         self.objective = obj
         logn = math.log2(n)
@@ -311,7 +313,12 @@ class AdversarySession:
         return math.inf, None
 
     def _case3(self, x: int, y: int):
-        best = self._two_hop(x, y)
+        """Exact shortest-path distance between two points that are not both
+        open, and the open-open virtual edge the path uses (or None). The
+        virtual candidate is only built once the direct edge and the two-hop
+        paths miss the lower bound: building it advances the round-robin
+        anchors, which later answers depend on."""
+        best = min(self._adj[x].get(y, math.inf), self._two_hop(x, y))
         virt = None
         if best > self._lb:
             cand = self._virtual_candidate(x, y)
@@ -405,7 +412,7 @@ class AdversarySession:
 
 class FinalMetric:
     """Exact shortest-path metric over the finalized graph, evaluated lazily
-    with the same tiered machinery the live adversary uses."""
+    by the routine the live adversary answers Case 3 with."""
 
     def __init__(self, session: AdversarySession):
         if not session.finalized:
@@ -419,39 +426,22 @@ class FinalMetric:
             return 0.0
         if s.status[x] and s.status[y]:
             return 1.0
-        direct = s._adj[x].get(y, math.inf)
-        best = s._two_hop(x, y)
-        cand = s._virtual_candidate(x, y)
-        if cand is not None and cand[0] < best:
-            best = cand[0]
-        if direct < best:
-            best = direct
-        # below the enumeration threshold the candidate set is exhaustive
-        if best <= s._thr:
-            return best
-        d, _ = s._dijkstra_hat(x, y, best)
-        return min(best, d)
+        return s._case3(x, y)[0]
 
     def matrix(self) -> np.ndarray:
-        """Dense metric via Floyd-Warshall over the augmented graph."""
+        """Dense metric: shortest-path closure of the augmented graph."""
         s = self.session
         if self.n > 2048:
             raise MetricInputError("dense finalized metric capped at n = 2048")
         size = self.n + 1
         D = np.full((size, size), np.inf)
-        np.fill_diagonal(D, 0.0)
         for u, v, w in s.edges():
-            if w < D[u, v]:
-                D[u, v] = D[v, u] = w
+            D[u, v] = D[v, u] = w
         open_ids = np.array([v for v in range(self.n) if s.status[v]], dtype=np.int64)
-        if open_ids.size > 1:
-            block = D[np.ix_(open_ids, open_ids)]
-            np.minimum(block, 1.0, out=block)
-            D[np.ix_(open_ids, open_ids)] = block
-            D[open_ids, open_ids] = 0.0
-        for mid in range(size):
-            np.minimum(D, D[:, mid, None] + D[None, mid, :], out=D)
-        return D[: self.n, : self.n]
+        block = D[np.ix_(open_ids, open_ids)]
+        np.minimum(block, 1.0, out=block)
+        D[np.ix_(open_ids, open_ids)] = block
+        return metric_closure(D)[: self.n, : self.n]
 
     def oracle(self) -> "FinalMetricOracle":
         return FinalMetricOracle(self)
@@ -590,8 +580,7 @@ def audit_session(session: AdversarySession, metric: FinalMetric,
     trivial = r < 1
     rows = session._center_rows
     dS = np.min(np.stack([rows[s] for s in S]), axis=0)
-    point_cost = dS * dS if obj is Objective.MEANS else dS
-    solution_cost = float(point_cost.sum())
+    solution_cost = float(obj.point_cost(dS).sum())
     solution_bound = (n / 2.0) * (r * r if obj is Objective.MEANS else r)
 
     witness_first = next((v for v in range(n) if session.status[v]), None)
@@ -605,8 +594,7 @@ def audit_session(session: AdversarySession, metric: FinalMetric,
         dW = np.empty(n)
         for x in range(n):
             dW[x] = min(metric.distance(x, w) for w in witness)
-        wit_point = dW * dW if obj is Objective.MEANS else dW
-        witness_cost = float(wit_point.sum())
+        witness_cost = float(obj.point_cost(dW).sum())
     else:
         witness_cost = math.inf
     witness_bound = 5.0 * n if obj is Objective.MEANS else 3.0 * n

@@ -1,6 +1,6 @@
 """Comparison algorithms: deterministic single-swap local search (the
-constant-factor solver used by the pipelines), plain reverse greedy, and the
-branching hierarchical baseline with its sparsifier audit."""
+constant-factor solver used by the pipelines) and the branching hierarchical
+baseline with its recursion and sparsifier audits."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import res_greedy
 from .metric import (
     MetricInputError,
     Objective,
@@ -19,7 +18,9 @@ from .metric import (
     _index_array,
     as_objective,
     build_solution,
+    check_k,
     leq,
+    mapping_cost,
     opt_bruteforce,
 )
 
@@ -49,24 +50,18 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
     final solution.
     """
     obj = as_objective(objective)
-    if k < 1:
-        raise MetricInputError("k must be at least 1")
-    U = space.all_points() if universe is None else np.sort(np.unique(
-        _index_array(universe, space.n, "universe")))
-    if k > U.size:
-        raise MetricInputError("k exceeds the number of points")
+    U = space.all_points() if universe is None else np.unique(
+        _index_array(universe, space.n, "universe"))
+    k = check_k(k, U.size)
     w = space.weights[U]
-    centers = [int(c) for c in U[:k]]
+    centers = U[:k].tolist()
     if k == U.size:
         return build_solution(space, centers, obj, universe=U)
-
-    def finalize(total: float) -> float:
-        return obj.finalize(total)
 
     D = space.pairwise(U, np.asarray(centers, dtype=np.int64))
     is_center = np.zeros(U.size, dtype=bool)
     is_center[:k] = True
-    current = finalize(float(np.dot(w, obj.point_cost(D.min(axis=1)))))
+    current = obj.total(w, D.min(axis=1))
     rows = np.arange(U.size)
     while True:
         order = np.argsort(D, axis=1, kind="stable")
@@ -95,7 +90,7 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
                 base_col = col
                 base = obj.point_cost(np.where(nearest_col == col, d2, d1))
             dz = Dz[:, zi]
-            total = finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
+            total = obj.finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
             if total < best[2]:
                 best = (col, zi, total)
         col, zi, improved = best
@@ -140,15 +135,6 @@ def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
         pz *= wg[:, None]
         table[cols, lo : lo + step] += np.add.reduceat(pz, starts, axis=0)
     return table
-
-
-def plain_reverse_greedy(space: WeightedMetricSpace, k: int,
-                         objective: Objective | str = Objective.MEDIAN,
-                         universe=None) -> Solution:
-    """Reverse greedy over the whole space: res_greedy with X = V, k' = k."""
-    U = space.all_points() if universe is None else universe
-    sol, _ = res_greedy(space, U, k, objective=objective, universe=universe, k=k)
-    return sol
 
 
 @dataclass
@@ -254,8 +240,7 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
     reported under the requested one."""
     obj = as_objective(objective)
     solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
-    if k < 1 or k > space.n:
-        raise MetricInputError("k out of range")
+    k = check_k(k, space.n)
     t0 = time.perf_counter()
     q0 = space.oracle.query_count
     hier = build_guha_partitions(space.n, k, delta)
@@ -290,8 +275,7 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
         weights_cur = next_weights
     centers = sorted(int(c) for c in np.unique(composed))
     solution = build_solution(space, centers, obj, universe=None)
-    d_map = np.array([space.distance(int(x), int(composed[x])) for x in range(n)])
-    map_cost = obj.finalize(float(np.dot(space.weights, obj.point_cost(d_map))))
+    map_cost = mapping_cost(space, composed, space.all_points(), space.weights, obj)
     metrics = GuhaRunMetrics(
         queries=space.oracle.query_count - q0,
         wall_millis=(time.perf_counter() - t0) * 1000.0,
@@ -334,11 +318,6 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
             audit.violations.append("OPT = 0 but composed mapping has positive cost")
         return audit
 
-    def mapping_cost(assign, members, weights):
-        d = np.array([space.distance(int(x), int(assign[x])) for x in members])
-        return solver_obj.finalize(float(np.dot(weights[members],
-                                                solver_obj.point_cost(d))))
-
     composed = np.arange(n, dtype=np.int64)
     beta_prev = 0.0
     for i in range(hier.depth, -1, -1):
@@ -353,12 +332,13 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
         opt_level, _ = opt_bruteforce(view, min(k, members.size), universe=members,
                                       candidates=members, objective=solver_obj,
                                       budget=budget)
-        level_cost = mapping_cost(level.sigma, members, weights)
+        level_cost = mapping_cost(space, level.sigma, members, weights, solver_obj)
         alpha = level_cost / opt_level if opt_level > 0 else 0.0
         if opt_level <= 0 and level_cost > 0:
             audit.violations.append(f"level {i}: zero OPT but solver cost {level_cost!r}")
         composed = level.sigma[composed]
-        comp_cost = mapping_cost(composed, space.all_points(), space.weights)
+        comp_cost = mapping_cost(space, composed, space.all_points(), space.weights,
+                                 solver_obj)
         bound = (2 * alpha + (1 + 2 * alpha) * beta_prev) * opt_full
         audit.levels.append({"level": i, "alpha": alpha, "beta_prev": beta_prev,
                              "composed_cost": comp_cost, "bound": bound})
@@ -398,21 +378,17 @@ def audit_sparsifier(space: WeightedMetricSpace, sigma: np.ndarray, pi: dict | n
     pi_map = {int(y): int(pi[y]) for y in targets} if not isinstance(pi, dict) else {
         int(y): int(v) for y, v in pi.items()}
 
-    def mapping_cost(assign: np.ndarray, weights: np.ndarray, members: np.ndarray) -> float:
-        d = np.array([space.distance(int(x), int(assign[x])) for x in members])
-        return obj.finalize(float(np.dot(weights[members], obj.point_cost(d))))
-
     opt_full, _ = opt_bruteforce(space, k, objective=obj)
     sparse_view = space.with_weights(w_sparse)
     opt_sparse, _ = opt_bruteforce(sparse_view, k, universe=targets, candidates=targets,
                                    objective=obj)
-    beta_cost = mapping_cost(sigma, space.weights, space.all_points())
+    beta_cost = mapping_cost(space, sigma, space.all_points(), space.weights, obj)
     pi_assign = np.arange(n, dtype=np.int64)
     for y, v in pi_map.items():
         pi_assign[y] = v
-    alpha_cost = mapping_cost(pi_assign, w_sparse, targets)
+    alpha_cost = mapping_cost(space, pi_assign, targets, w_sparse, obj)
     composed = pi_assign[sigma]
-    composed_cost = mapping_cost(composed, space.weights, space.all_points())
+    composed_cost = mapping_cost(space, composed, space.all_points(), space.weights, obj)
     audit = SparsifierAudit(opt_full=opt_full, opt_sparse=opt_sparse,
                             alpha=0.0, beta=0.0, composed_cost=composed_cost, bound=0.0)
     if opt_full <= 0:

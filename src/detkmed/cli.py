@@ -13,18 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import harness
 from .adversary import QueryBudgetExceededError, run_against
 from .generators import GENERATORS, make_instance
-from .greedy import BoundCertificate, audit_certificate, res_greedy
+from .greedy import BoundCertificate, audit_certificate
 from .hierarchy import audit_pipeline
 from .io import load_space, write_matrix_csv, write_points_csv
 from .metric import (
     EnumerationBudgetError,
     MetricInputError,
     Objective,
+    PointsOracle,
     opt_bruteforce,
     verify_metric,
 )
@@ -66,23 +66,9 @@ def _parse_float_list(text: str | None) -> tuple[float, ...]:
 
 def cmd_cluster(args) -> int:
     space = load_space(args.input, args.format)
-    if not 1 <= args.k <= space.n:
-        raise MetricInputError(f"k must lie in [1, {space.n}]")
-    cert = None
-    if args.algo == "reverse-greedy":
-        q0 = space.oracle.query_count
-        t0 = time.perf_counter()
-        solution, cert = res_greedy(space, space.all_points(), args.k,
-                                    args.objective, k=args.k)
-        record = harness.RunRecord(
-            algorithm=args.algo, instance=str(args.input), n=space.n, k=args.k,
-            delta=None, objective=args.objective, cost=solution.cost, ratio=None,
-            queries=space.oracle.query_count - q0,
-            wall_millis=(time.perf_counter() - t0) * 1000.0)
-    else:
-        solution, record = harness.run_algorithm(
-            args.algo, space, args.k, args.objective, delta=args.delta,
-            instance=str(args.input))
+    solution, record, cert = harness.run_algorithm(
+        args.algo, space, args.k, args.objective, delta=args.delta,
+        instance=str(args.input))
     audit_ok = True
     audit_payload = None
     if args.audit:
@@ -97,8 +83,7 @@ def cmd_cluster(args) -> int:
                                  "chain_ratio_bound": audit.chain_ratio_bound}
             elif cert is not None:
                 opt, _ = opt_bruteforce(space, args.k, objective=args.objective)
-                rep = audit_certificate(cert, opt, k=args.k,
-                                        eps=0.1 if args.objective == "means" else None)
+                rep = audit_certificate(cert, opt)
                 audit_ok = rep.passed
                 audit_payload = {"passed": rep.passed, "violations": rep.violations}
             else:
@@ -131,7 +116,7 @@ def cmd_bench(args) -> int:
         params=_parse_params(args.gen_params),
         ns=_parse_int_list(args.ns),
         ks=_parse_int_list(args.ks),
-        algorithms=tuple(args.algos.split(",")) if args.algos else harness.ALGORITHMS,
+        algorithms=tuple(args.algos.split(",") if args.algos else harness.ALGORITHMS),
         deltas=_parse_float_list(args.deltas) or (2.0,),
         objective=args.objective,
         seed=args.seed,
@@ -144,7 +129,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    algo = harness.adversary_algorithm(args.algo, delta_guha=args.delta)
+    algo = harness.adversary_algorithm(args.algo)
     try:
         result = run_against(algo, args.n, args.k, args.delta, args.objective,
                              enforce_budget=args.enforce_budget)
@@ -229,9 +214,9 @@ def cmd_gen(args) -> int:
         full = oracle.pairwise(space.all_points(), space.all_points())
         write_matrix_csv(args.out, full, space.weights)
     else:
-        if not hasattr(oracle, "_p"):
+        if not isinstance(oracle, PointsOracle):
             raise MetricInputError("points output requires a point-set generator")
-        write_points_csv(args.out, oracle._p, space.weights)
+        write_points_csv(args.out, oracle.points, space.weights)
     print(f"wrote n={space.n} instance to {args.out}", file=sys.stderr)
     return 0
 

@@ -28,6 +28,7 @@ from .metric import (
     _index_array,
     as_objective,
     build_solution,
+    check_k,
     cost,
     leq,
 )
@@ -144,12 +145,11 @@ class GreedyState:
 
     def assignment_solution(self) -> Solution:
         ids, d = self.nearest()
-        total = self.objective.finalize(float(np.dot(self.w, self.objective.point_cost(d))))
-        return Solution(tuple(self.centers()), ids, total, self.objective, self.universe)
+        return Solution(tuple(self.centers()), ids, self.objective.total(self.w, d),
+                        self.objective, self.universe)
 
     def current_cost(self) -> float:
-        d1 = self._D[self._rows, self._slot1()]
-        return self.objective.finalize(float(np.dot(self.w, self.objective.point_cost(d1))))
+        return self.objective.total(self.w, self._D[self._rows, self._slot1()])
 
     def clusters(self) -> dict[int, np.ndarray]:
         """C_S(y): universe points whose nearest alive center is y."""
@@ -209,31 +209,31 @@ class GreedyState:
         return int(self.cand[y_slot]), self.current_cost()
 
 
-def greedy_step(state: GreedyState) -> tuple[int, float]:
-    return state.step()
-
-
-def _res_greedy_core(space, candidates, k_prime, objective, universe):
-    """Shared driver. A candidate set no larger than k' is returned unchanged
-    with an empty trace; its certificate still carries the evaluated cost so
-    every node of a pipeline run is auditable without recomputation."""
+def _res_greedy_core(space, candidates, k_prime, objective, universe, k=None, eps=None):
+    """Shared driver: returns the surviving centers, the removal-trace
+    certificate and the live state. A candidate set no larger than k' is
+    returned unchanged with an empty trace and no state; its certificate
+    still carries the evaluated cost so every node of a pipeline run is
+    auditable without recomputation."""
     obj = _greedy_objective(as_objective(objective))
-    if k_prime < 1:
-        raise MetricInputError("k_prime must be at least 1")
-    cand = np.sort(np.unique(_index_array(candidates, space.n, "candidates")))
+    k_prime = check_k(k_prime, name="k_prime")
+    cand = np.unique(_index_array(candidates, space.n, "candidates"))
+    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+    cert = BoundCertificate(candidates=tuple(cand.tolist()), k_prime=k_prime,
+                            universe_size=U.size, objective=obj, steps=[],
+                            initial_cost=None, final_cost=None, k=k, eps=eps)
     if cand.size <= k_prime:
-        trivial = cost(space, cand, universe=universe, objective=obj)
-        return [int(c) for c in cand], [], trivial, trivial, None
-    state = GreedyState(space, cand, universe=universe, objective=obj)
-    steps: list[RemovalStep] = []
-    initial = state.current_cost()
-    current = initial
+        cert.initial_cost = cert.final_cost = cost(space, cand, universe=U, objective=obj)
+        return cand.tolist(), cert, None
+    state = GreedyState(space, cand, universe=U, objective=obj)
+    cert.initial_cost = current = state.current_cost()
     while state.size > k_prime:
         size_before = state.size
         removed, after = state.step()
-        steps.append(RemovalStep(removed, size_before, current, after))
+        cert.steps.append(RemovalStep(removed, size_before, current, after))
         current = after
-    return state.centers(), steps, initial, current, state
+    cert.final_cost = current
+    return state.centers(), cert, state
 
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -245,25 +245,11 @@ def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     certificate. When |X| <= k' the candidate set is returned unchanged with
     an empty trace.
     """
-    obj = _greedy_objective(as_objective(objective))
-    centers, steps, initial, final, state = _res_greedy_core(
-        space, candidates, k_prime, obj, universe)
+    centers, cert, state = _res_greedy_core(space, candidates, k_prime, objective,
+                                            universe, k=k, eps=eps)
     if state is None:
-        sol = build_solution(space, centers, obj, universe=universe)
-    else:
-        sol = state.assignment_solution()
-    cert = BoundCertificate(
-        candidates=tuple(int(c) for c in np.sort(np.unique(np.asarray(candidates, dtype=np.int64)))),
-        k_prime=k_prime,
-        universe_size=sol.universe.size,
-        objective=obj,
-        steps=steps,
-        initial_cost=initial,
-        final_cost=final,
-        k=k,
-        eps=eps,
-    )
-    return sol, cert
+        return build_solution(space, centers, cert.objective, universe=universe), cert
+    return state.assignment_solution(), cert
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -272,8 +258,7 @@ def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     """Quadratic reference: recomputes cost(S - y) from the distance matrix for
     every alive y at every step. Shares only the tie rule with the fast path."""
     obj = _greedy_objective(as_objective(objective))
-    if k_prime < 1:
-        raise MetricInputError("k_prime must be at least 1")
+    k_prime = check_k(k_prime, name="k_prime")
     U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
     cand = np.sort(np.unique(_index_array(candidates, space.n, "candidates")))
     w = space.weights[U]

@@ -10,9 +10,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import guha_hierarchical, local_search_kmedian, plain_reverse_greedy
+from .baselines import guha_hierarchical, local_search_kmedian
 from .generators import make_instance
-from .hierarchy import hierarchical_cluster
+from .greedy import BoundCertificate, res_greedy
+from .hierarchy import hierarchical_cluster, means_eps
 from .metric import (
     EnumerationBudgetError,
     MetricInputError,
@@ -20,6 +21,7 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     as_objective,
+    check_k,
     opt_bruteforce,
 )
 
@@ -48,35 +50,50 @@ class RunRecord:
         return asdict(self)
 
 
-ALGORITHMS = ("hierarchical", "guha", "reverse-greedy", "local-search")
+def _reverse_greedy(space, k, obj, delta):
+    k = check_k(k, space.n)
+    eps = means_eps(space.n, k) if obj is Objective.MEANS else None
+    return res_greedy(space, space.all_points(), k, obj, k=k, eps=eps)
+
+
+# name -> (space, k, objective, delta) -> (Solution, removal certificate or
+# None); only guha reads delta
+ALGORITHMS = {
+    "hierarchical": lambda space, k, obj, delta: (hierarchical_cluster(space, k, obj)[0], None),
+    "guha": lambda space, k, obj, delta: (guha_hierarchical(space, k, delta, obj)[0], None),
+    "reverse-greedy": _reverse_greedy,
+    "local-search": lambda space, k, obj, delta: (local_search_kmedian(space, k, obj), None),
+}
+GUHA_DELTA = 2.0
+
+
+def _algorithm(name: str):
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise MetricInputError(f"unknown algorithm {name!r}") from None
 
 
 def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
                   objective: Objective | str = Objective.MEDIAN,
-                  delta: float | None = None,
-                  instance: str = "instance") -> tuple[Solution, RunRecord]:
+                  delta: float | None = None, instance: str = "instance"
+                  ) -> tuple[Solution, RunRecord, BoundCertificate | None]:
+    """Run one registered algorithm on a fresh counter window. The removal
+    certificate comes back for reverse greedy, None otherwise; guha runs at
+    GUHA_DELTA unless delta is given."""
+    run = _algorithm(name)
     obj = as_objective(objective)
+    delta = GUHA_DELTA if delta is None else delta
     q0 = space.oracle.query_count
     t0 = time.perf_counter()
-    if name == "hierarchical":
-        solution, _ = hierarchical_cluster(space, k, obj)
-    elif name == "guha":
-        if delta is None:
-            delta = 2.0
-        solution, _ = guha_hierarchical(space, k, delta, obj)
-    elif name == "reverse-greedy":
-        solution = plain_reverse_greedy(space, k, obj)
-    elif name == "local-search":
-        solution = local_search_kmedian(space, k, obj)
-    else:
-        raise MetricInputError(f"unknown algorithm {name!r}")
+    solution, cert = run(space, k, obj, delta)
     wall = (time.perf_counter() - t0) * 1000.0
     record = RunRecord(
         algorithm=name, instance=instance, n=space.n, k=k,
         delta=delta if name == "guha" else None,
         objective=obj.value, cost=solution.cost, ratio=None,
         queries=space.oracle.query_count - q0, wall_millis=wall)
-    return solution, record
+    return solution, record, cert
 
 
 def attach_ratio(record: RunRecord, space: WeightedMetricSpace, k: int,
@@ -122,8 +139,8 @@ def bench_sweep(spec: SweepSpec) -> list[RunRecord]:
                         continue
                     space = make_instance(spec.generator, n, seed=spec.seed, **params)
                     instance = f"{spec.generator}-n{n}-seed{spec.seed}"
-                    _, rec = run_algorithm(algo, space, k, spec.objective,
-                                           delta=delta, instance=instance)
+                    _, rec, _ = run_algorithm(algo, space, k, spec.objective,
+                                              delta=delta, instance=instance)
                     if spec.with_ratio:
                         rec = attach_ratio(rec, space, k)
                     records.append(rec)
@@ -138,20 +155,11 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
             out.writerow(rec.to_row())
 
 
-def adversary_algorithm(name: str, delta_guha: float = 2.0):
-    """Adapter giving every registered algorithm the (space, k, objective) ->
-    Solution shape the adversary harness drives."""
-    def run(space, k, objective):
-        if name == "hierarchical":
-            return hierarchical_cluster(space, k, objective)[0]
-        if name == "guha":
-            return guha_hierarchical(space, k, delta_guha, objective)[0]
-        if name == "reverse-greedy":
-            return plain_reverse_greedy(space, k, objective)
-        if name == "local-search":
-            return local_search_kmedian(space, k, objective)
-        raise MetricInputError(f"unknown algorithm {name!r}")
-    return run
+def adversary_algorithm(name: str):
+    """A registered algorithm in the (space, k, objective) -> Solution shape
+    the adversary harness drives; guha runs at GUHA_DELTA."""
+    run = _algorithm(name)
+    return lambda space, k, objective: run(space, k, objective, GUHA_DELTA)[0]
 
 
 def adversary_report_dict(result) -> dict:

@@ -11,7 +11,6 @@ and runs the constant-factor local-search solver on that sparsified space.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -21,13 +20,13 @@ from .baselines import local_search_kmedian
 from .greedy import BoundCertificate, _res_greedy_core, audit_certificate
 from .metric import (
     EnumerationBudgetError,
-    MetricInputError,
     Objective,
     Solution,
     WeightedMetricSpace,
     as_objective,
     assign_nearest,
     build_solution,
+    check_k,
     cost,
     leq,
     opt_bruteforce,
@@ -91,10 +90,7 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
     """Phase I. Splits preserve input order; the first child takes ceil(|X|/2)
     points. Makes no distance queries."""
     n = space.n
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise MetricInputError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > n:
-        raise MetricInputError("k out of range")
+    k = check_k(k, n)
     depth = depth_for(n, k)
     levels = [[np.arange(n, dtype=np.int64)]]
     for _ in range(depth):
@@ -122,23 +118,9 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
             if i == depth:
                 restriction = part
             else:
-                restriction = np.asarray(
-                    hierarchy.centers[i + 1][2 * j] + hierarchy.centers[i + 1][2 * j + 1],
-                    dtype=np.int64)
-            centers, steps, initial, final, _ = _res_greedy_core(
-                space, restriction, 2 * k, obj, part)
-            hierarchy.centers[i][j] = centers
-            hierarchy.certificates[i][j] = BoundCertificate(
-                candidates=tuple(int(c) for c in np.sort(restriction)),
-                k_prime=2 * k,
-                universe_size=int(part.size),
-                objective=obj,
-                steps=steps,
-                initial_cost=initial,
-                final_cost=final,
-                k=k,
-                eps=eps,
-            )
+                restriction = hierarchy.centers[i + 1][2 * j] + hierarchy.centers[i + 1][2 * j + 1]
+            hierarchy.centers[i][j], hierarchy.certificates[i][j], _ = _res_greedy_core(
+                space, restriction, 2 * k, obj, part, k=k, eps=eps)
     return hierarchy.centers[0][0]
 
 
@@ -154,13 +136,17 @@ class SparsifiedSpace:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
+    def view(self) -> WeightedMetricSpace:
+        """The whole space re-weighted by w_0 on V_0 and zero elsewhere."""
+        w = np.zeros(self.space.n)
+        w[self.points] = self.weights
+        return self.space.with_weights(w)
+
 
 def sparsify(space: WeightedMetricSpace, v0) -> SparsifiedSpace:
     """Phase III sparsifier: sigma maps every point to its nearest survivor
     (ties to the smallest index); w_0 accumulates the projected weight."""
-    points = np.sort(np.unique(np.asarray(v0, dtype=np.int64)))
-    if points.size == 0:
-        raise MetricInputError("V_0 must be nonempty")
+    points = np.unique(np.asarray(v0, dtype=np.int64))
     sigma = assign_nearest(space, points)
     w0 = np.zeros(points.size)
     local = np.searchsorted(points, sigma)
@@ -173,16 +159,12 @@ def extract_k(sparsified: SparsifiedSpace, k: int,
     """Run the constant-factor solver on (V_0, w_0, d) and lift the centers
     back to a solution over the full space."""
     obj = as_objective(objective)
-    space = sparsified.space
     if sparsified.points.size <= k:
-        centers = [int(c) for c in sparsified.points]
+        centers = sparsified.points.tolist()
     else:
-        w_full = np.zeros(space.n)
-        w_full[sparsified.points] = sparsified.weights
-        inner = local_search_kmedian(space.with_weights(w_full), k, obj,
-                                     universe=sparsified.points)
+        inner = local_search_kmedian(sparsified.view(), k, obj, universe=sparsified.points)
         centers = sorted(inner.centers)
-    return build_solution(space, centers, obj)
+    return build_solution(sparsified.space, centers, obj)
 
 
 @dataclass
@@ -340,7 +322,7 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
             f"cost(V_0, V) = {v0_cost!r} exceeds the telescoped bound "
             f"{audit.chain_v0_bound!r}")
     # extraction side: measured alpha on the sparsified space, chain beta above
-    sparse_view = space.with_weights(_full_weights(space.n, sparsified))
+    sparse_view = sparsified.view()
     opt_sparse, _ = opt_bruteforce(sparse_view, min(k, sparsified.points.size),
                                    universe=sparsified.points,
                                    candidates=sparsified.points,
@@ -359,9 +341,3 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     elif solution.cost > 0 and opt == 0:
         audit.violations.append("OPT = 0 but the pipeline returned positive cost")
     return audit
-
-
-def _full_weights(n: int, sparsified: SparsifiedSpace) -> np.ndarray:
-    w = np.zeros(n)
-    w[sparsified.points] = sparsified.weights
-    return w

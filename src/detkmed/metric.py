@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,9 +52,22 @@ class Objective(str, Enum):
             return math.sqrt(total)
         return total
 
+    def total(self, w: np.ndarray, d: np.ndarray) -> float:
+        """Objective value of distances d under weights w."""
+        return self.finalize(float(np.dot(w, self.point_cost(d))))
+
 
 def as_objective(obj: "Objective | str") -> Objective:
     return obj if isinstance(obj, Objective) else Objective(obj)
+
+
+def check_k(k, hi: float = math.inf, name: str = "k") -> int:
+    """k as an int after checking it is an integer (bool is not) in [1, hi]."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise MetricInputError(f"{name} must be an integer, got {k!r}")
+    if not 1 <= k <= hi:
+        raise MetricInputError(f"{name} must lie in [1, {hi}], got {k}")
+    return int(k)
 
 
 class DistanceOracle:
@@ -113,8 +127,8 @@ class MatrixOracle(DistanceOracle):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MetricInputError("not a metric: distance matrix must be square")
-        if np.any(matrix < 0):
-            raise MetricInputError("not a metric: negative distance entry")
+        if not np.all((matrix >= 0) & (matrix < np.inf)):
+            raise MetricInputError("not a metric: negative or non-finite distance entry")
         if np.any(np.diag(matrix) != 0.0):
             raise MetricInputError("not a metric: nonzero diagonal entry")
         if not np.array_equal(matrix, matrix.T):
@@ -138,9 +152,15 @@ class PointsOracle(DistanceOracle):
             points = points[:, None]
         if norm not in ("l1", "l2"):
             raise MetricInputError(f"unknown norm {norm!r}")
+        if not np.isfinite(points).all():
+            raise MetricInputError("point coordinates must be finite")
         super().__init__(points.shape[0])
         self._p = points
         self.norm = norm
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._p
 
     def _dist(self, i, j):
         diff = self._p[i] - self._p[j]
@@ -175,8 +195,8 @@ class WeightedMetricSpace:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (self.oracle.n,):
             raise MetricInputError("weight vector length must equal point count")
-        if np.any(self.weights < 0):
-            raise MetricInputError("weights must be nonnegative")
+        if not np.all((self.weights >= 0) & (self.weights < np.inf)):
+            raise MetricInputError("weights must be finite and nonnegative")
 
     @classmethod
     def from_matrix(cls, matrix, weights=None) -> "WeightedMetricSpace":
@@ -229,52 +249,59 @@ def _index_array(ids, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _sweep(space: WeightedMetricSpace, centers, universe):
+    """The nearest-center sweep: one |U| x |S| request, rows in universe
+    order and columns in the given center order. Returns the universe, the
+    column of each point's nearest center (ties to the first column) and its
+    distance."""
+    if centers is None or len(centers) == 0:
+        raise MetricInputError("empty solution")
+    S = _index_array(centers, space.n, "centers")
+    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+    D = space.pairwise(U, S)
+    idx = np.argmin(D, axis=1)
+    return U, idx, D[np.arange(U.size), idx]
+
+
 def cost(space: WeightedMetricSpace, centers, universe=None,
          objective: Objective | str = Objective.MEDIAN) -> float:
     """cost(S, U) = sum over x in U of w(x) * obj(d(x, S)).
 
     Queries the oracle exactly |S| * |U| times.
     """
-    obj = as_objective(objective)
-    if centers is None or len(centers) == 0:
-        raise MetricInputError("empty solution")
-    S = _index_array(centers, space.n, "centers")
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    D = space.pairwise(U, S)
-    dmin = D.min(axis=1)
-    return obj.finalize(float(np.dot(space.weights[U], obj.point_cost(dmin))))
+    U, _, dmin = _sweep(space, centers, universe)
+    return as_objective(objective).total(space.weights[U], dmin)
 
 
 def assign_nearest(space: WeightedMetricSpace, centers, universe=None) -> np.ndarray:
     """Nearest center id for each universe point; ties go to the smallest
     point index. Queries |S| * |U|."""
-    S = np.sort(np.unique(_index_array(centers, space.n, "centers")))
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    D = space.pairwise(U, S)
-    return S[np.argmin(D, axis=1)]
+    S = np.unique(np.asarray(centers, dtype=np.int64))
+    _, idx, _ = _sweep(space, S, universe)
+    return S[idx]
 
 
 def build_solution(space: WeightedMetricSpace, centers, objective: Objective | str = Objective.MEDIAN,
                    universe=None) -> Solution:
     """Assemble a Solution (assignment + cached cost) with one |S|*|U| sweep."""
     obj = as_objective(objective)
-    if centers is None or len(centers) == 0:
-        raise MetricInputError("empty solution")
-    given = [int(c) for c in centers]
-    S = np.sort(np.unique(np.asarray(given, dtype=np.int64)))
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    D = space.pairwise(U, S)
-    idx = np.argmin(D, axis=1)
-    dmin = D[np.arange(U.size), idx]
-    total = obj.finalize(float(np.dot(space.weights[U], obj.point_cost(dmin))))
-    return Solution(tuple(given), S[idx], total, obj, U)
+    given = tuple(int(c) for c in centers)
+    S = np.unique(np.asarray(given, dtype=np.int64))
+    U, idx, dmin = _sweep(space, S, universe)
+    return Solution(given, S[idx], obj.total(space.weights[U], dmin), obj, U)
+
+
+def mapping_cost(space: WeightedMetricSpace, assign, members, weights,
+                 objective: Objective | str = Objective.MEDIAN) -> float:
+    """Cost of mapping each member x to assign[x] under the given weights.
+    One distance request per member, in member order."""
+    d = np.array([space.distance(int(x), int(assign[x])) for x in members])
+    return as_objective(objective).total(weights[members], d)
 
 
 def project(space: WeightedMetricSpace, A, B) -> tuple[int, ...]:
     """Projection pi(A, B): for each a in A its nearest point of B (ties to the
     smallest index), returned as an ascending tuple without duplicates."""
-    A = _index_array(A, space.n, "A")
-    B = _index_array(B, space.n, "B")
     return tuple(int(v) for v in np.unique(assign_nearest(space, B, universe=A)))
 
 
@@ -286,13 +313,9 @@ def opt_bruteforce(space: WeightedMetricSpace, k: int, universe=None, candidates
     Returns the optimum cost and the lexicographically smallest achieving set.
     """
     obj = as_objective(objective)
-    if k < 1:
-        raise MetricInputError("k must be at least 1")
     U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    X = U if candidates is None else _index_array(candidates, space.n, "candidates")
-    X = np.sort(np.unique(X))
-    if k > X.size:
-        raise MetricInputError("k exceeds the number of candidate centers")
+    X = np.unique(U if candidates is None else _index_array(candidates, space.n, "candidates"))
+    k = check_k(k, X.size)
     if math.comb(X.size, k) > budget:
         raise EnumerationBudgetError("instance too large for oracle")
     D = space.pairwise(U, X)
@@ -300,8 +323,7 @@ def opt_bruteforce(space: WeightedMetricSpace, k: int, universe=None, candidates
     best_cost = math.inf
     best_set: tuple[int, ...] = ()
     for combo in itertools.combinations(range(X.size), k):
-        dmin = D[:, combo].min(axis=1)
-        c = obj.finalize(float(np.dot(w, obj.point_cost(dmin))))
+        c = obj.total(w, D[:, combo].min(axis=1))
         if c < best_cost:
             best_cost = c
             best_set = combo

@@ -297,7 +297,7 @@ def test_c10_determinism():
         runs = []
         for _ in range(2):
             space = uniform_points(40, seed=sp_seed)
-            sol, rec = run_algorithm(algo, space, 3, delta=2.0)
+            sol, rec, _ = run_algorithm(algo, space, 3, delta=2.0)
             payload = rec.to_json_dict()
             payload.pop("wall_millis")
             runs.append((sol.centers, sol.assignment.tobytes(),

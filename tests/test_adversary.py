@@ -76,18 +76,28 @@ def test_statuses_never_reopen_and_m_threshold():
 
 
 def _check_against_materialized_oracle(sess):
+    # Every pair once, in a seeded order. The hat graph is rebuilt only after
+    # a closure or an answer with a closed endpoint: an open-open answer adds
+    # a unit edge the open clique already holds.
     rng = np.random.default_rng(151)
     pairs = list(itertools.combinations(range(sess.n), 2))
     rng.shuffle(pairs)
-    for x, y in pairs[:1800]:
+    G = build_hat_graph(sess)
+    closed_answers = 0
+    for x, y in pairs:
         existing = sess.edge_weight(x, y)
-        expected = existing if existing is not None else \
-            nx.dijkstra_path_length(build_hat_graph(sess), x, y)
+        expected = existing if existing is not None else nx.dijkstra_path_length(G, x, y)
+        closed_before = sess.closed_points()
+        closed_endpoint = not (sess.status[x] and sess.status[y])
         assert sess.answer_query(x, y) == pytest.approx(expected, rel=1e-12)
+        closed_answers += closed_endpoint
+        if closed_endpoint or sess.closed_points() != closed_before:
+            G = build_hat_graph(sess)
+    return closed_answers
 
 
 def test_answers_match_materialized_oracle_randomized():
-    _check_against_materialized_oracle(AdversarySession(72, 1, 1.0))
+    assert _check_against_materialized_oracle(AdversarySession(72, 1, 1.0)) >= 400
 
 
 def test_answers_match_materialized_oracle_unit_gate_edges():
@@ -205,6 +215,9 @@ def test_budget_error_for_reverse_greedy():
 def test_rejects_pathological_regimes():
     with pytest.raises(dk.MetricInputError):
         AdversarySession(4, 2, 1.0)  # M = 40 > 16 = n^2
+    for bad_k in (1.5, True, 0):
+        with pytest.raises(dk.MetricInputError):
+            AdversarySession(64, bad_k, 1.0)
     with pytest.raises(dk.MetricInputError):
         AdversarySession(64, 1, 1.0).answer_query(3, 3)
 
@@ -346,6 +359,18 @@ def test_two_hop_matches_brute_force_in_scan_regime():
         seen.add(brute)
     # unit-unit, unit-heavy and gate routes all occur among the samples
     assert {2.0, 3.0, 2 * sess.L} <= seen
+
+
+def test_cli_guha_runs_at_its_default_delta(tmp_path):
+    # --delta is the adversary's budget factor only; guha keeps delta = 2
+    report = tmp_path / "report.json"
+    assert main(["adversary", "--algo", "guha", "--n", "300", "--k", "3",
+                 "--objective", "means", "--emit-report", str(report)]) == 0
+    queries = json.loads(report.read_text())["queries"]
+    qx, qy, qa = (np.array(col, dtype=dt) for col, dt in
+                  zip(zip(*queries), (np.int64, np.int64, np.float64)))
+    digest = next(row[4] for row in GOLDEN if row[0] == "guha")
+    assert hashlib.sha256(qx.tobytes() + qy.tobytes() + qa.tobytes()).hexdigest() == digest
 
 
 def test_report_replay_roundtrip_cli(tmp_path):

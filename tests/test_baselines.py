@@ -5,6 +5,7 @@ import pytest
 
 import detkmed as dk
 from detkmed.baselines import IMPROVEMENT_FACTOR, build_guha_partitions, guha_hierarchical
+from detkmed.harness import run_algorithm
 from detkmed.metric import leq
 
 
@@ -58,9 +59,9 @@ def test_local_search_normalized_means_matches_means_argmin():
     assert leq(opt_nm, nm.cost)
 
 
-def test_plain_reverse_greedy_equals_res_greedy_on_v(mid_spaces):
+def test_registered_reverse_greedy_equals_res_greedy_on_v(mid_spaces):
     sp = mid_spaces[1]
-    direct = dk.plain_reverse_greedy(sp, 2)
+    direct, _, _ = run_algorithm("reverse-greedy", sp, 2)
     via, _ = dk.res_greedy(sp, sp.all_points(), 2)
     assert direct.centers == via.centers
 

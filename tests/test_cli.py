@@ -170,6 +170,24 @@ def test_certificate_roundtrip_and_corruption(tmp_path, matrix_file):
                  "--input", str(matrix_file), "--k", "2"]) == 2
 
 
+def test_means_certificate_roundtrip(tmp_path, matrix_file):
+    # the certificate carries the eps it was audited with
+    cert_path = tmp_path / "cert.json"
+    rc = main(["cluster", "--algo", "reverse-greedy", "--k", "2", "--objective", "means",
+               "--audit", "--input", str(matrix_file), "--emit-cert", str(cert_path),
+               "--output", str(tmp_path / "c.txt")])
+    assert rc == 0
+    assert json.loads(cert_path.read_text())["eps"] == pytest.approx(1 / (1 + np.log2(6)))
+    assert main(["verify", "certificate", "--cert", str(cert_path),
+                 "--input", str(matrix_file), "--k", "2"]) == 0
+
+
+def test_gen_points_rejects_matrix_generator(tmp_path):
+    rc = main(["gen", "--kind", "random-matrix", "--n", "5", "--format", "points",
+               "--out", str(tmp_path / "pts.csv")])
+    assert rc == 2
+
+
 def test_verify_pipeline(tmp_path, matrix_file):
     assert main(["verify", "pipeline", "--input", str(matrix_file), "--k", "2"]) == 0
 

@@ -142,11 +142,11 @@ def test_restricted_run_with_universe_subset():
 def test_core_trivial_path_evaluates_certificate_cost():
     sp = dk.generators.uniform_points(16, seed=5)
     before = sp.oracle.query_count
-    centers, steps, initial, final, state = _res_greedy_core(
+    centers, cert, state = _res_greedy_core(
         sp, np.arange(4), 4, dk.Objective.MEDIAN, None)
     assert sp.oracle.query_count == before + 16 * 4
-    assert centers == [0, 1, 2, 3] and steps == [] and state is None
-    assert initial == final == dk.cost(sp, [0, 1, 2, 3])
+    assert centers == [0, 1, 2, 3] and cert.steps == [] and state is None
+    assert cert.initial_cost == cert.final_cost == dk.cost(sp, [0, 1, 2, 3])
 
 
 def test_certificate_roundtrip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detkmed as dk
+from detkmed.harness import ALGORITHMS, run_algorithm
 from detkmed.metric import ABS_TOL, REL_TOL, leq
 from tests.conftest import line_space
 
@@ -52,6 +53,74 @@ def test_matrix_oracle_rejects_bad_input():
         dk.MatrixOracle(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(dk.MetricInputError, match="negative"):
         dk.MatrixOracle(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite_input(bad):
+    matrix = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(dk.MetricInputError, match="non-finite"):
+        dk.MatrixOracle(matrix)
+    with pytest.raises(dk.MetricInputError, match="finite"):
+        dk.WeightedMetricSpace.from_points([[0.0, 1.0], [bad, 2.0]])
+    sp = line_space([0, 1])
+    for weights in ([1.0, bad], [-bad, 1.0]):
+        with pytest.raises(dk.MetricInputError, match="finite"):
+            sp.with_weights(weights)
+        with pytest.raises(dk.MetricInputError, match="finite"):
+            dk.WeightedMetricSpace.from_matrix(np.zeros((2, 2)), weights)
+
+
+def test_k_must_be_an_integer_in_range():
+    sp = line_space(range(6))
+    calls = [
+        lambda k: dk.build_partitions(sp, k),
+        lambda k: dk.local_search_kmedian(sp, k),
+        lambda k: dk.guha_hierarchical(sp, k, 2.0),
+        lambda k: dk.opt_bruteforce(sp, k),
+        lambda k: dk.res_greedy(sp, sp.all_points(), k),
+    ]
+    for call in calls:
+        for bad in (1.5, 2.0, np.float64(2.0), True, 0, -1):
+            with pytest.raises(dk.MetricInputError):
+                call(bad)
+        call(np.int64(2))
+    for call in calls[:4]:
+        with pytest.raises(dk.MetricInputError):
+            call(7)
+
+
+def _maybe_corrupt(data, values):
+    """values, with one entry replaced by NaN, +-inf or -1 a third of the time."""
+    if data.draw(st.integers(0, 2)) == 2:
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0]))
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_input_runs_to_finite_cost_or_input_error(data):
+    # finite magnitudes stay small: distances or costs that overflow float64
+    # are a separate matter from the boundary checks tested here
+    n = data.draw(st.integers(1, 7))
+    values = lambda low, size: _maybe_corrupt(
+        data, data.draw(st.lists(st.floats(low, 10.0), min_size=size, max_size=size)))
+    weights = values(0.0, n)
+    k = data.draw(st.one_of(st.integers(1, n), st.integers(1, n), st.integers(-1, 8),
+                            st.floats(-1.0, 8.0), st.booleans()))
+    algo = data.draw(st.sampled_from(sorted(ALGORITHMS)))
+    objective = data.draw(st.sampled_from([o.value for o in dk.Objective]))
+    try:
+        if data.draw(st.booleans()):
+            coords = np.reshape(values(-10.0, 2 * n), (n, 2))
+            space = dk.WeightedMetricSpace.from_points(coords, weights)
+        else:
+            matrix = np.triu(np.reshape(values(0.0, n * n), (n, n)), 1)
+            space = dk.WeightedMetricSpace.from_matrix(matrix + matrix.T, weights)
+        solution, _, _ = run_algorithm(algo, space, k, objective)
+    except dk.MetricInputError:
+        return
+    assert math.isfinite(solution.cost)
 
 
 def test_project_subset_is_identity():
