@@ -11,8 +11,11 @@ so that one edge is materialized when chosen).
 
 The graph is held as one dict per vertex mapping neighbor to weight, plus a
 push counter per vertex (the degree that closes it, repeated virtual edges
-included) and, per vertex, the list of its unit-weight neighbors in push
-order, which fixes the round-robin order of virtual-edge anchors.
+included) and, per vertex, the list of its unit-weight point neighbors in push
+order, which fixes the round-robin order of virtual-edge anchors. Gate edges
+stay out of those lists even at log_M(n) = 1, where M = n: a point then closes
+only after all its n - 1 pairs are answered, so no answer needs a virtual edge
+or a Dijkstra search.
 
 Shortest paths are computed exactly without materializing the open clique:
 the best two-edge path, a best candidate using one virtual edge anchored at
@@ -94,8 +97,10 @@ class AdversarySession:
 
         size = n + 1
         L = self.L
-        # gate star, built in bulk: exactly what n _push_edge(x, gate, L)
-        # calls leave behind
+        # gate star, built in bulk. Gate edges stay out of the unit-neighbor
+        # lists even at L == 1.0: there M equals n, so a point closes only
+        # once all its n - 1 pairs are answered, no query meets a closed
+        # endpoint without a direct edge, and no virtual edge is ever sought.
         self._adj: list[dict[int, float]] = [{self.gate: L} for _ in range(n)]
         self._adj.append(dict.fromkeys(range(n), L))
         self._deg = array("i", [1]) * size
@@ -106,12 +111,7 @@ class AdversarySession:
         self.open_count = n
         self._open_unit = array("i", bytes(4 * size))
         self._unit_cursor = array("i", bytes(4 * size))
-        if L == 1.0:
-            self._unit_nbrs = [array("i", [self.gate]) for _ in range(n)]
-            self._unit_nbrs.append(array("i", range(n)))
-            self._open_unit[self.gate] = n
-        else:
-            self._unit_nbrs = [array("i") for _ in range(size)]
+        self._unit_nbrs = [array("i") for _ in range(size)]
         self._qx = array("i")
         self._qy = array("i")
         self._qa = array("d")
@@ -179,8 +179,6 @@ class AdversarySession:
             return -1
         lst = self._unit_nbrs[v]
         m = len(lst)
-        if m == 0:
-            return -1
         i = self._unit_cursor[v]
         if i >= m:
             i = 0
@@ -241,26 +239,14 @@ class AdversarySession:
                 return None
             by = 1.0
         if vb == ua:
-            # anchors collide; fall back to a different unit neighbor on
-            # whichever side is not pinned to an open endpoint
-            if not self.status[y]:
-                alt = self._find_open_unit_nbr(y, skip=ua)
-                if alt >= 0:
-                    vb = alt
-                elif not self.status[x]:
-                    alt = self._find_open_unit_nbr(x, skip=vb)
-                    if alt < 0:
-                        return None
-                    ua = alt
-                else:
-                    return None
-            else:
-                if self.status[x]:
-                    return None
-                alt = self._find_open_unit_nbr(x, skip=vb)
-                if alt < 0:
-                    return None
+            # anchors collide; re-anchor a closed endpoint, y first, at a
+            # different unit neighbor (Case 3 never has both endpoints open)
+            if not self.status[y] and (alt := self._find_open_unit_nbr(y, skip=ua)) >= 0:
+                vb = alt
+            elif not self.status[x] and (alt := self._find_open_unit_nbr(x, skip=vb)) >= 0:
                 ua = alt
+            else:
+                return None
         return ax + 1.0 + by, (ua, vb)
 
     def _dijkstra_hat(self, src: int, dst: int, cap: float):
@@ -443,29 +429,6 @@ class FinalMetric:
         D[np.ix_(open_ids, open_ids)] = block
         return metric_closure(D)[: self.n, : self.n]
 
-    def oracle(self) -> "FinalMetricOracle":
-        return FinalMetricOracle(self)
-
-
-class FinalMetricOracle(DistanceOracle):
-    """DistanceOracle view of a finalized adversary metric. Materializes the
-    dense matrix when small enough, otherwise evaluates lazily."""
-
-    def __init__(self, metric: FinalMetric):
-        super().__init__(metric.n)
-        self._metric = metric
-        self._dense = metric.matrix() if metric.n <= 2048 else None
-
-    def _dist(self, i, j):
-        if self._dense is not None:
-            return float(self._dense[i, j])
-        return self._metric.distance(i, j)
-
-    def _pairwise(self, rows, cols):
-        if self._dense is not None:
-            return self._dense[np.ix_(rows, cols)]
-        return super()._pairwise(rows, cols)
-
 
 @dataclass
 class AdversaryAudit:
@@ -568,8 +531,7 @@ def _unit_path_violations(session: AdversarySession, cap: int = 512) -> list[str
     return out
 
 
-def audit_session(session: AdversarySession, metric: FinalMetric,
-                  solution_centers) -> AdversaryAudit:
+def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAudit:
     """Run every post-hoc check against the finalized construction."""
     if not session.finalized:
         raise RuntimeError("audit requires a finalized session")
@@ -679,11 +641,6 @@ class AdversaryOracle(DistanceOracle):
         super().__init__(session.n)
         self.session = session
 
-    def _dist(self, i, j):
-        if i == j:
-            return 0.0
-        return self.session.answer_query(i, j)
-
     def _pairwise(self, rows, cols):
         answer = self.session.answer_query
         cols = cols.tolist()
@@ -704,7 +661,7 @@ def run_against(algorithm, n: int, k: int, delta: float,
     t0 = time.perf_counter()
     solution = algorithm(space, k, obj)
     metric = session.finalize(solution.centers)
-    audit = audit_session(session, metric, solution.centers)
+    audit = audit_session(session, metric)
     return AdversaryRunResult(
         solution=solution,
         audit=audit,

@@ -143,7 +143,6 @@ class GuhaLevel:
     survivors: np.ndarray | None = None
     sigma: np.ndarray | None = None
     weights_after: np.ndarray | None = None
-    centers_per_part: list[list[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -157,9 +156,6 @@ class GuhaHierarchy:
     depth: int
     q: list[int]
     levels: list[GuhaLevel]
-
-    def part_counts(self) -> list[int]:
-        return [len(level.parts) for level in self.levels]
 
     def structure_violations(self) -> list[str]:
         """Size bound (n/|Q_i| + i) and the product bounds on |Q_i|."""
@@ -188,19 +184,6 @@ class GuhaHierarchy:
         return out
 
 
-def _split_even(points: np.ndarray, q: int) -> list[np.ndarray]:
-    """Order-preserving split into q parts with sizes differing by <= 1."""
-    n = points.size
-    base, extra = divmod(n, q)
-    parts = []
-    at = 0
-    for j in range(q):
-        size = base + (1 if j < extra else 0)
-        parts.append(points[at : at + size])
-        at += size
-    return parts
-
-
 def build_guha_partitions(n: int, k: int, delta: float) -> GuhaHierarchy:
     if not (2 <= delta <= max(2, n / k)):
         raise MetricInputError("delta must lie in [2, n/k]")
@@ -214,7 +197,8 @@ def build_guha_partitions(n: int, k: int, delta: float) -> GuhaHierarchy:
     for i in range(1, depth + 1):
         parts = []
         for part in levels[i - 1].parts:
-            parts.extend(_split_even(part, q[i - 1]))
+            # order-preserving, sizes differ by at most 1
+            parts.extend(np.array_split(part, q[i - 1]))
         levels.append(GuhaLevel(parts=parts))
     return GuhaHierarchy(n=n, k=k, delta=delta, gamma=gamma, depth=depth, q=q,
                          levels=levels)
@@ -259,11 +243,9 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
         for part in level.parts:
             pts = part[in_level[part]]
             if pts.size == 0:
-                level.centers_per_part.append([])
                 continue
             view = space.with_weights(weights_cur)
             sol = local_search_kmedian(view, min(k, pts.size), solver_obj, universe=pts)
-            level.centers_per_part.append(list(sol.centers))
             sigma_lvl[pts] = sol.assignment
             np.add.at(next_weights, sol.assignment, weights_cur[pts])
             new_survivors.extend(int(c) for c in sorted(sol.centers))

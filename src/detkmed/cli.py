@@ -143,7 +143,8 @@ def cmd_adversary(args) -> int:
             return 2
         write_matrix_csv(args.emit_metric, result.metric.matrix())
     if args.emit_report:
-        harness.save_report_json(args.emit_report, harness.adversary_report_dict(result))
+        with open(args.emit_report, "w") as fh:
+            json.dump(harness.adversary_report_dict(result), fh)
     status = "PASS" if audit.passed else "FAIL"
     print(f"{status} n={audit.n} k={audit.k} delta={audit.delta} r={audit.r} "
           f"cost={audit.solution_cost:.1f} witness={audit.witness_cost:.1f} "
@@ -192,7 +193,8 @@ def cmd_verify(args) -> int:
         return 1
     if args.what == "replay":
         try:
-            report = harness.load_report_json(args.report)
+            with open(args.report) as fh:
+                report = json.load(fh)
             ok, problems = harness.replay_adversary(report)
         except (KeyError, TypeError, ValueError) as exc:
             # json.JSONDecodeError is a ValueError

@@ -4,7 +4,6 @@ CLI and the test suite."""
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import asdict, dataclass
 
@@ -214,20 +213,10 @@ def replay_adversary(report: dict) -> tuple[bool, list[str]]:
             if len(problems) > 10:
                 return False, problems
     metric = session.finalize(report["solution"])
-    audit = audit_session(session, metric, report["solution"])
+    audit = audit_session(session, metric)
     qx, qy, qa = session.transcript()
     logged = np.asarray([row[2] for row in queries])
     if len(qa) != len(logged) or not np.array_equal(np.asarray(qa), logged):
         problems.append("replayed transcript differs from the logged one")
     problems.extend(audit.violations)
     return not problems, problems
-
-
-def save_report_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_report_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -59,9 +59,6 @@ class PartitionHierarchy:
     centers: list[list[list[int]]] | None = None
     certificates: list[list[BoundCertificate | None]] | None = None
 
-    def children(self, level: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.parts[level + 1][2 * j], self.parts[level + 1][2 * j + 1]
-
     def structure_violations(self) -> list[str]:
         out = []
         if len(self.parts[0]) != 1 or self.parts[0][0].size != self.n:
@@ -177,7 +174,6 @@ class PipelineMetrics:
     depth: int
     v0_size: int
     eps: float | None
-    level_queries: list[int] = field(default_factory=list)
 
 
 def hierarchical_cluster(space: WeightedMetricSpace, k: int,
@@ -193,7 +189,6 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     if space.oracle.query_count != q0:
         raise RuntimeError("Phase I must not query the oracle")
     v0 = phase2(space, hierarchy, k, obj)
-    q_phase2 = space.oracle.query_count
     sparsified = sparsify(space, v0)
     solution = extract_k(sparsified, k, obj)
     metrics = PipelineMetrics(
@@ -205,7 +200,6 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
         depth=hierarchy.depth,
         v0_size=len(v0),
         eps=means_eps(space.n, k) if obj is Objective.MEANS else None,
-        level_queries=[q_phase2 - q0, space.oracle.query_count - q_phase2],
     )
     if keep_hierarchy:
         return solution, metrics, hierarchy, sparsified

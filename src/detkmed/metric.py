@@ -53,8 +53,12 @@ class Objective(str, Enum):
         return total
 
     def total(self, w: np.ndarray, d: np.ndarray) -> float:
-        """Objective value of distances d under weights w."""
-        return self.finalize(float(np.dot(w, self.point_cost(d))))
+        """Objective value of distances d under weights w. Every cost is
+        formed here; one that overflows float64 is an input error."""
+        value = self.finalize(float(np.dot(w, self.point_cost(d))))
+        if not math.isfinite(value):
+            raise MetricInputError("cost overflows float64")
+        return value
 
 
 def as_objective(obj: "Objective | str") -> Objective:
@@ -99,8 +103,10 @@ class DistanceOracle:
             self._count += amount
 
     def distance(self, i: int, j: int) -> float:
+        """One pair, counted once, from the same kernel as pairwise."""
         self._bump(1)
-        return self._dist(int(i), int(j))
+        return float(self._pairwise(np.array([i], dtype=np.int64),
+                                    np.array([j], dtype=np.int64))[0, 0])
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances for every (row, col) pair; counts len(rows)*len(cols)."""
@@ -109,15 +115,9 @@ class DistanceOracle:
         self._bump(rows.size * cols.size)
         return self._pairwise(rows, cols)
 
-    def _dist(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
     def _pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.size, cols.size))
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                out[a, b] = self._dist(int(i), int(j))
-        return out
+        """The oracle's one distance kernel: a len(rows) x len(cols) block."""
+        raise NotImplementedError
 
 
 class MatrixOracle(DistanceOracle):
@@ -135,9 +135,6 @@ class MatrixOracle(DistanceOracle):
             raise MetricInputError("not a metric: asymmetric distance matrix")
         super().__init__(matrix.shape[0])
         self._m = matrix
-
-    def _dist(self, i, j):
-        return float(self._m[i, j])
 
     def _pairwise(self, rows, cols):
         return self._m[np.ix_(rows, cols)]
@@ -161,12 +158,6 @@ class PointsOracle(DistanceOracle):
     @property
     def points(self) -> np.ndarray:
         return self._p
-
-    def _dist(self, i, j):
-        diff = self._p[i] - self._p[j]
-        if self.norm == "l1":
-            return float(np.abs(diff).sum())
-        return float(math.sqrt(np.dot(diff, diff)))
 
     def _pairwise(self, rows, cols):
         out = np.empty((rows.size, cols.size))

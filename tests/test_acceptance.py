@@ -242,7 +242,7 @@ def test_c08_adversary_audits():
     # exhaustive final-metric verification on a small run
     small = run_against(adversary_algorithm("hierarchical"), 256, 2, 1.0)
     violations.extend(f"n=256: {v}" for v in small.audit.violations)
-    space = dk.WeightedMetricSpace(small.metric.oracle(), np.ones(256))
+    space = dk.WeightedMetricSpace.from_matrix(small.metric.matrix())
     report = dk.verify_metric(space, mode="exhaustive")
     if not report.ok:
         violations.append(
@@ -272,10 +272,7 @@ def test_c09_guha_structure_and_sparsifier():
     for s, sp in enumerate(_corpus(12, max_n=12, min_n=8, seed0=9000)):
         k = 1 + s % 2
         sol, _, hier, spars = dk.hierarchical_cluster(sp, k, keep_hierarchy=True)
-        w_full = np.zeros(sp.n)
-        w_full[spars.points] = spars.weights
-        inner = dk.local_search_kmedian(sp.with_weights(w_full), k,
-                                        universe=spars.points)
+        inner = dk.local_search_kmedian(spars.view(), k, universe=spars.points)
         pi = {int(p): int(c) for p, c in zip(spars.points, inner.assignment)}
         rep = dk.audit_sparsifier(sp, spars.sigma, pi, k)
         violations.extend(f"sparsifier #{s}: {v}" for v in rep.violations)

@@ -189,17 +189,10 @@ def test_audit_sparsifier_end_to_end(tiny_spaces):
     for sp in tiny_spaces[:8]:
         k = 2 if sp.n > 4 else 1
         sol, _, hier, spars = dk.hierarchical_cluster(sp, k, keep_hierarchy=True)
-        inner = dk.local_search_kmedian(
-            sp.with_weights(_full(sp, spars)), k, universe=spars.points)
+        inner = dk.local_search_kmedian(spars.view(), k, universe=spars.points)
         pi = {int(p): int(c) for p, c in zip(spars.points, inner.assignment)}
         rep = dk.audit_sparsifier(sp, spars.sigma, pi, k)
         assert rep.passed, rep.violations
-
-
-def _full(sp, spars):
-    w = np.zeros(sp.n)
-    w[spars.points] = spars.weights
-    return w
 
 
 def _reference_local_search(space, k, objective="median", universe=None):

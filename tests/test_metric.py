@@ -39,6 +39,26 @@ def test_cost_query_accounting_exact():
     assert sp.oracle.query_count - before == 3 * 5
 
 
+def test_distance_equals_pairwise_bit_for_bit():
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((30, 30)), 1)
+    spaces = [dk.WeightedMetricSpace.from_matrix(upper + upper.T)]
+    for dim in (1, 2, 3, 10):
+        points = rng.normal(size=(40, dim))
+        spaces += [dk.WeightedMetricSpace.from_points(points, norm=norm)
+                   for norm in ("l1", "l2")]
+    for sp in spaces:
+        U = sp.all_points()
+        single = np.array([[sp.distance(i, j) for j in U] for i in U])
+        assert np.array_equal(single, sp.pairwise(U, U))
+
+
+def test_cost_overflow_is_an_input_error():
+    sp = dk.WeightedMetricSpace.from_points([[1e308], [-1e308], [0.0]])
+    with pytest.raises(dk.MetricInputError, match="overflow"):
+        dk.cost(sp, [2])
+
+
 def test_single_distance_counts_once_even_on_diagonal():
     sp = line_space([0, 1])
     before = sp.oracle.query_count
@@ -100,11 +120,9 @@ def _maybe_corrupt(data, values):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_any_input_runs_to_finite_cost_or_input_error(data):
-    # finite magnitudes stay small: distances or costs that overflow float64
-    # are a separate matter from the boundary checks tested here
     n = data.draw(st.integers(1, 7))
     values = lambda low, size: _maybe_corrupt(
-        data, data.draw(st.lists(st.floats(low, 10.0), min_size=size, max_size=size)))
+        data, data.draw(st.lists(st.floats(low, 1e308), min_size=size, max_size=size)))
     weights = values(0.0, n)
     k = data.draw(st.one_of(st.integers(1, n), st.integers(1, n), st.integers(-1, 8),
                             st.floats(-1.0, 8.0), st.booleans()))
@@ -112,7 +130,7 @@ def test_any_input_runs_to_finite_cost_or_input_error(data):
     objective = data.draw(st.sampled_from([o.value for o in dk.Objective]))
     try:
         if data.draw(st.booleans()):
-            coords = np.reshape(values(-10.0, 2 * n), (n, 2))
+            coords = np.reshape(values(-1e308, 2 * n), (n, 2))
             space = dk.WeightedMetricSpace.from_points(coords, weights)
         else:
             matrix = np.triu(np.reshape(values(0.0, n * n), (n, n)), 1)
