@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from array import array
 from dataclasses import dataclass, field
 
@@ -490,10 +489,10 @@ def _consistency_violations(session: AdversarySession, metric: FinalMetric) -> l
     return out
 
 
-def _unit_path_violations(session: AdversarySession, cap: int = 512) -> list[str]:
+def _unit_path_violations(session: AdversarySession) -> list[str]:
     """Edges between points no heavier than log_M n must be matched by an
-    equal-weight path of unit edges (checked by BFS for small spaces)."""
-    if session.n > cap:
+    equal-weight path of unit edges (checked by BFS for n <= 512)."""
+    if session.n > 512:
         return []
     n = session.n
     unit_adj: list[list[int]] = [[] for _ in range(n)]
@@ -584,8 +583,12 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
     )
     audit.violations.extend(_consistency_violations(session, metric))
     audit.violations.extend(_unit_path_violations(session))
+    # the witness and closed-node lemmas assume the n*k*delta allowance: over
+    # budget, their failures collapse into one premise-not-met verdict
+    unmet: list[str] = []
+    lemmas = audit.violations if audit.within_budget else unmet
     if witness_first is None:
-        audit.violations.append("no open node survives; witness construction failed")
+        lemmas.append("no open node survives; witness construction failed")
     if not trivial:
         if not leq(solution_bound, solution_cost):
             audit.violations.append(
@@ -594,11 +597,15 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
             audit.violations.append(
                 f"implied ratio {ratio!r} below {ratio_bound!r}")
     if witness and not leq(witness_cost, witness_bound):
-        audit.violations.append(
+        lemmas.append(
             f"witness cost {witness_cost!r} exceeds {witness_bound!r}")
     if not leq(closed, closed_bound):
-        audit.violations.append(
+        lemmas.append(
             f"{closed} closed nodes exceed bound {closed_bound!r}")
+    if unmet:
+        audit.violations.append(
+            f"premise not met: {session.algo_queries} queries exceed the n·k·δ "
+            f"allowance {nominal!r}; closed-node and witness bounds not checked")
     total_answers = session.algo_queries + session.artificial_queries
     if session.edge_count() > 2 * total_answers + n:
         audit.violations.append("edge count exceeds 2 per answer plus the gate star")
@@ -628,7 +635,6 @@ class AdversaryRunResult:
     audit: AdversaryAudit
     session: AdversarySession
     metric: FinalMetric
-    wall_millis: float
 
 
 class AdversaryOracle(DistanceOracle):
@@ -658,14 +664,8 @@ def run_against(algorithm, n: int, k: int, delta: float,
     session = AdversarySession(n, k, delta, obj, budget=budget)
     oracle = AdversaryOracle(session)
     space = WeightedMetricSpace(oracle, np.ones(n))
-    t0 = time.perf_counter()
     solution = algorithm(space, k, obj)
     metric = session.finalize(solution.centers)
     audit = audit_session(session, metric)
-    return AdversaryRunResult(
-        solution=solution,
-        audit=audit,
-        session=session,
-        metric=metric,
-        wall_millis=(time.perf_counter() - t0) * 1000.0,
-    )
+    return AdversaryRunResult(solution=solution, audit=audit, session=session,
+                              metric=metric)

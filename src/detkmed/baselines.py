@@ -5,7 +5,6 @@ baseline with its recursion and sparsifier audits."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,9 +206,6 @@ def build_guha_partitions(n: int, k: int, delta: float) -> GuhaHierarchy:
 @dataclass
 class GuhaRunMetrics:
     queries: int
-    wall_millis: float
-    delta: float
-    depth: int
     hierarchy: GuhaHierarchy
     mapping: np.ndarray
     mapping_cost: float
@@ -225,7 +221,6 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
     obj = as_objective(objective)
     solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
     k = check_k(k, space.n)
-    t0 = time.perf_counter()
     q0 = space.oracle.query_count
     hier = build_guha_partitions(space.n, k, delta)
     n = space.n
@@ -258,15 +253,8 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
     centers = sorted(int(c) for c in np.unique(composed))
     solution = build_solution(space, centers, obj, universe=None)
     map_cost = mapping_cost(space, composed, space.all_points(), space.weights, obj)
-    metrics = GuhaRunMetrics(
-        queries=space.oracle.query_count - q0,
-        wall_millis=(time.perf_counter() - t0) * 1000.0,
-        delta=delta,
-        depth=hier.depth,
-        hierarchy=hier,
-        mapping=composed,
-        mapping_cost=map_cost,
-    )
+    metrics = GuhaRunMetrics(queries=space.oracle.query_count - q0, hierarchy=hier,
+                             mapping=composed, mapping_cost=map_cost)
     return solution, metrics
 
 
@@ -282,8 +270,7 @@ class GuhaRecursionAudit:
 
 
 def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
-                         objective: Objective | str = Objective.MEDIAN,
-                         budget: int = 2_000_000) -> GuhaRecursionAudit:
+                         objective: Objective | str = Objective.MEDIAN) -> GuhaRecursionAudit:
     """Run the branching baseline and certify, level by level, that each
     composed mapping stays within (2a + (1 + 2a) b) * OPT with the measured
     per-level solver ratio a and the measured ratio b of the previous
@@ -293,7 +280,7 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
     _, metrics = guha_hierarchical(space, k, delta, obj)
     hier = metrics.hierarchy
     n = space.n
-    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj, budget=budget)
+    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj, budget=2_000_000)
     audit = GuhaRecursionAudit(opt_full=opt_full)
     if opt_full <= 0:
         if metrics.mapping_cost > 0:
@@ -313,7 +300,7 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
         view = space.with_weights(weights)
         opt_level, _ = opt_bruteforce(view, min(k, members.size), universe=members,
                                       candidates=members, objective=solver_obj,
-                                      budget=budget)
+                                      budget=2_000_000)
         level_cost = mapping_cost(space, level.sigma, members, weights, solver_obj)
         alpha = level_cost / opt_level if opt_level > 0 else 0.0
         if opt_level <= 0 and level_cost > 0:

@@ -117,7 +117,7 @@ def cmd_bench(args) -> int:
         ns=_parse_int_list(args.ns),
         ks=_parse_int_list(args.ks),
         algorithms=tuple(args.algos.split(",") if args.algos else harness.ALGORITHMS),
-        deltas=_parse_float_list(args.deltas) or (2.0,),
+        deltas=_parse_float_list(args.deltas) or (harness.GUHA_DELTA,),
         objective=args.objective,
         seed=args.seed,
         with_ratio=args.ratio,
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True)
     c.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
                    default="matrix")
-    c.add_argument("--delta", type=float, default=2.0, help="guha time/quality knob")
+    c.add_argument("--delta", type=float, default=harness.GUHA_DELTA,
+                   help="guha time/quality knob")
     c.add_argument("--audit", action="store_true",
                    help="exact bound audits when brute force is feasible")
     c.add_argument("--output", default="-", help="centers file (one id per line)")
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ns", default="", help="comma-separated point counts")
     b.add_argument("--ks", default="", help="comma-separated k values")
     b.add_argument("--algos", default=",".join(harness.ALGORITHMS))
-    b.add_argument("--deltas", default="2")
+    b.add_argument("--deltas", default=str(harness.GUHA_DELTA))
     b.add_argument("--objective", choices=OBJECTIVES, default="median")
     b.add_argument("--generator", choices=sorted(GENERATORS), default="uniform-points")
     b.add_argument("--gen-params", default="", help="e.g. dim=2,extent=1.0")

@@ -11,6 +11,9 @@ The implementation keeps, for every point, its candidate list pre-sorted by
 center) forward past removed entries. Cursor advances are amortized over the
 run, each iteration costs O(n) on top of them, and the distance oracle is
 touched exactly once per (point, candidate) pair during initialization.
+`res_greedy` is the one driver. A candidate set already no larger than k'
+goes through it as a zero-step run, so every call, trivial pipeline nodes
+included, requests |U| x |X| once and nothing more.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from .metric import (
     WeightedMetricSpace,
     _index_array,
     as_objective,
-    build_solution,
     check_k,
-    cost,
     leq,
 )
 
@@ -62,8 +63,8 @@ class BoundCertificate:
     k: int | None = None
     eps: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
+    def dumps(self) -> str:
+        return json.dumps({
             "candidates": list(self.candidates),
             "k_prime": self.k_prime,
             "universe_size": self.universe_size,
@@ -74,10 +75,11 @@ class BoundCertificate:
             "final_cost": self.final_cost,
             "steps": [[s.removed, s.size_before, s.cost_before, s.cost_after]
                       for s in self.steps],
-        }
+        })
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "BoundCertificate":
+    def loads(cls, text: str) -> "BoundCertificate":
+        d = json.loads(text)
         return cls(
             candidates=tuple(d["candidates"]),
             k_prime=d["k_prime"],
@@ -89,13 +91,6 @@ class BoundCertificate:
             k=d.get("k"),
             eps=d.get("eps"),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "BoundCertificate":
-        return cls.from_json_dict(json.loads(text))
 
 
 class GreedyState:
@@ -111,13 +106,13 @@ class GreedyState:
         self.objective = _greedy_objective(as_objective(objective))
         self.space = space
         U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-        cand = np.sort(np.unique(_index_array(candidates, space.n, "candidates")))
+        cand = np.unique(_index_array(candidates, space.n, "candidates"))
         self.universe = U
         self.cand = cand
         self.w = space.weights[U]
         self._D = space.pairwise(U, cand)
         # ties within a list follow candidate id because columns are id-sorted
-        self._order = np.argsort(self._D, axis=1, kind="stable").astype(np.int64)
+        self._order = np.argsort(self._D, axis=1, kind="stable")
         m = cand.size
         self.alive = np.ones(m, dtype=bool)
         self._alive_count = m
@@ -209,46 +204,27 @@ class GreedyState:
         return int(self.cand[y_slot]), self.current_cost()
 
 
-def _res_greedy_core(space, candidates, k_prime, objective, universe, k=None, eps=None):
-    """Shared driver: returns the surviving centers, the removal-trace
-    certificate and the live state. A candidate set no larger than k' is
-    returned unchanged with an empty trace and no state; its certificate
-    still carries the evaluated cost so every node of a pipeline run is
-    auditable without recomputation."""
-    obj = _greedy_objective(as_objective(objective))
-    k_prime = check_k(k_prime, name="k_prime")
-    cand = np.unique(_index_array(candidates, space.n, "candidates"))
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    cert = BoundCertificate(candidates=tuple(cand.tolist()), k_prime=k_prime,
-                            universe_size=U.size, objective=obj, steps=[],
-                            initial_cost=None, final_cost=None, k=k, eps=eps)
-    if cand.size <= k_prime:
-        cert.initial_cost = cert.final_cost = cost(space, cand, universe=U, objective=obj)
-        return cand.tolist(), cert, None
-    state = GreedyState(space, cand, universe=U, objective=obj)
-    cert.initial_cost = current = state.current_cost()
-    while state.size > k_prime:
-        size_before = state.size
-        removed, after = state.step()
-        cert.steps.append(RemovalStep(removed, size_before, current, after))
-        current = after
-    cert.final_cost = current
-    return state.centers(), cert, state
-
-
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
                objective: Objective | str = Objective.MEDIAN, universe=None,
                k: int | None = None, eps: float | None = None) -> tuple[Solution, BoundCertificate]:
     """Res-Greedy_{k'}: reverse greedy from S = X down to k' centers.
 
     Returns the solution (assignment over the universe) and the removal-trace
-    certificate. When |X| <= k' the candidate set is returned unchanged with
-    an empty trace.
+    certificate. When |X| <= k' the run takes no step: X comes back unchanged
+    with an empty trace, and its certificate still carries the cost of X.
     """
-    centers, cert, state = _res_greedy_core(space, candidates, k_prime, objective,
-                                            universe, k=k, eps=eps)
-    if state is None:
-        return build_solution(space, centers, cert.objective, universe=universe), cert
+    k_prime = check_k(k_prime, name="k_prime")
+    state = GreedyState(space, candidates, universe=universe, objective=objective)
+    current = state.current_cost()
+    cert = BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
+                            universe_size=state.universe.size, objective=state.objective,
+                            steps=[], initial_cost=current, final_cost=None, k=k, eps=eps)
+    while state.size > k_prime:
+        size_before = state.size
+        removed, after = state.step()
+        cert.steps.append(RemovalStep(removed, size_before, current, after))
+        current = after
+    cert.final_cost = current
     return state.assignment_solution(), cert
 
 
@@ -260,7 +236,7 @@ def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     obj = _greedy_objective(as_objective(objective))
     k_prime = check_k(k_prime, name="k_prime")
     U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    cand = np.sort(np.unique(_index_array(candidates, space.n, "candidates")))
+    cand = np.unique(_index_array(candidates, space.n, "candidates"))
     w = space.weights[U]
     if cand.size <= k_prime:
         return [int(c) for c in cand], []

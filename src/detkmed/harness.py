@@ -95,11 +95,10 @@ def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
     return solution, record, cert
 
 
-def attach_ratio(record: RunRecord, space: WeightedMetricSpace, k: int,
-                 budget: int = 2_000_000) -> RunRecord:
+def attach_ratio(record: RunRecord, space: WeightedMetricSpace, k: int) -> RunRecord:
     """Fill in the exact ratio when the instance is brute-forceable."""
     try:
-        opt, _ = opt_bruteforce(space, k, objective=record.objective, budget=budget)
+        opt, _ = opt_bruteforce(space, k, objective=record.objective, budget=2_000_000)
     except EnumerationBudgetError:
         return record
     if opt > 0:
@@ -116,7 +115,7 @@ class SweepSpec:
     ns: tuple[int, ...] = ()
     ks: tuple[int, ...] = ()
     algorithms: tuple[str, ...] = ()
-    deltas: tuple[float, ...] = (2.0,)
+    deltas: tuple[float, ...] = (GUHA_DELTA,)
     objective: str = "median"
     seed: int = 0
     with_ratio: bool = False

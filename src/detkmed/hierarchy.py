@@ -11,13 +11,12 @@ and runs the constant-factor local-search solver on that sparsified space.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import local_search_kmedian
-from .greedy import BoundCertificate, _res_greedy_core, audit_certificate
+from .greedy import BoundCertificate, audit_certificate, res_greedy
 from .metric import (
     EnumerationBudgetError,
     Objective,
@@ -116,8 +115,9 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
                 restriction = part
             else:
                 restriction = hierarchy.centers[i + 1][2 * j] + hierarchy.centers[i + 1][2 * j + 1]
-            hierarchy.centers[i][j], hierarchy.certificates[i][j], _ = _res_greedy_core(
+            solution, hierarchy.certificates[i][j] = res_greedy(
                 space, restriction, 2 * k, obj, part, k=k, eps=eps)
+            hierarchy.centers[i][j] = list(solution.centers)
     return hierarchy.centers[0][0]
 
 
@@ -166,24 +166,18 @@ def extract_k(sparsified: SparsifiedSpace, k: int,
 
 @dataclass
 class PipelineMetrics:
-    n: int
-    k: int
-    objective: Objective
     queries: int
-    wall_millis: float
-    depth: int
-    v0_size: int
-    eps: float | None
+    hierarchy: PartitionHierarchy
+    sparsified: SparsifiedSpace
 
 
 def hierarchical_cluster(space: WeightedMetricSpace, k: int,
-                         objective: Objective | str = Objective.MEDIAN,
-                         keep_hierarchy: bool = False):
+                         objective: Objective | str = Objective.MEDIAN
+                         ) -> tuple[Solution, PipelineMetrics]:
     """Full Phase I-III pipeline. Deterministic: identical inputs give
-    byte-identical outputs. Returns (Solution, PipelineMetrics) and, when
-    keep_hierarchy is set, the filled hierarchy and sparsifier as well."""
+    byte-identical outputs. The metrics carry the query count, the filled
+    hierarchy and the sparsifier."""
     obj = as_objective(objective)
-    t0 = time.perf_counter()
     q0 = space.oracle.query_count
     hierarchy = build_partitions(space, k)
     if space.oracle.query_count != q0:
@@ -191,19 +185,8 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     v0 = phase2(space, hierarchy, k, obj)
     sparsified = sparsify(space, v0)
     solution = extract_k(sparsified, k, obj)
-    metrics = PipelineMetrics(
-        n=space.n,
-        k=k,
-        objective=obj,
-        queries=space.oracle.query_count - q0,
-        wall_millis=(time.perf_counter() - t0) * 1000.0,
-        depth=hierarchy.depth,
-        v0_size=len(v0),
-        eps=means_eps(space.n, k) if obj is Objective.MEANS else None,
-    )
-    if keep_hierarchy:
-        return solution, metrics, hierarchy, sparsified
-    return solution, metrics
+    return solution, PipelineMetrics(queries=space.oracle.query_count - q0,
+                                     hierarchy=hierarchy, sparsified=sparsified)
 
 
 def harmonic(lo: int, hi: int) -> float:
@@ -248,8 +231,7 @@ class PipelineAudit:
 
 
 def audit_pipeline(space: WeightedMetricSpace, k: int,
-                   objective: Objective | str = Objective.MEDIAN,
-                   budget: int = 10_000_000) -> PipelineAudit:
+                   objective: Objective | str = Objective.MEDIAN) -> PipelineAudit:
     """Run the pipeline and certify the whole bound chain with exact optima.
 
     Per internal node: cost(S_X, X) <= cost(R, X) + 2(H_{3k} - H_k) * OPT_k(X),
@@ -257,9 +239,9 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     bound, and step-level certificate audits. Requires brute-forceable sizes.
     """
     obj = as_objective(objective)
-    solution, metrics, hierarchy, sparsified = hierarchical_cluster(
-        space, k, obj, keep_hierarchy=True)
-    opt, _ = opt_bruteforce(space, k, objective=obj, budget=budget)
+    solution, metrics = hierarchical_cluster(space, k, obj)
+    hierarchy, sparsified = metrics.hierarchy, metrics.sparsified
+    opt, _ = opt_bruteforce(space, k, objective=obj)
     v0 = hierarchy.centers[0][0]
     v0_cost = cost(space, v0, objective=obj)
     merge_c = 2.0 * harmonic(k, 3 * k)
@@ -288,7 +270,7 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
             cost_r = cost(space, restriction, universe=part, objective=obj)
             try:
                 opt_x, _ = opt_bruteforce(space, min(k, part.size), universe=part,
-                                          candidates=part, objective=obj, budget=budget)
+                                          candidates=part, objective=obj)
             except EnumerationBudgetError:
                 audit.violations.append(f"node ({i},{j}) too large for the exact oracle")
                 continue
@@ -320,7 +302,7 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     opt_sparse, _ = opt_bruteforce(sparse_view, min(k, sparsified.points.size),
                                    universe=sparsified.points,
                                    candidates=sparsified.points,
-                                   objective=obj, budget=budget)
+                                   objective=obj)
     inner_cost = cost(sparse_view, solution.centers, universe=sparsified.points,
                       objective=obj)
     if opt > 0 and opt_sparse > 0:

@@ -271,7 +271,7 @@ def test_c09_guha_structure_and_sparsifier():
     audited = 0
     for s, sp in enumerate(_corpus(12, max_n=12, min_n=8, seed0=9000)):
         k = 1 + s % 2
-        sol, _, hier, spars = dk.hierarchical_cluster(sp, k, keep_hierarchy=True)
+        spars = dk.hierarchical_cluster(sp, k)[1].sparsified
         inner = dk.local_search_kmedian(spars.view(), k, universe=spars.points)
         pi = {int(p): int(c) for p, c in zip(spars.points, inner.assignment)}
         rep = dk.audit_sparsifier(sp, spars.sigma, pi, k)

@@ -104,7 +104,7 @@ def test_guha_delta_bounds():
 def test_guha_single_level_when_delta_maxed():
     sp = dk.generators.uniform_points(16, seed=5)
     sol, metrics = guha_hierarchical(sp, 4, 4.0)
-    assert metrics.depth == 0
+    assert metrics.hierarchy.depth == 0
     direct = dk.local_search_kmedian(sp, 4)
     assert sol.centers == direct.centers
 
@@ -188,7 +188,7 @@ def test_audit_sparsifier_identity_cases():
 def test_audit_sparsifier_end_to_end(tiny_spaces):
     for sp in tiny_spaces[:8]:
         k = 2 if sp.n > 4 else 1
-        sol, _, hier, spars = dk.hierarchical_cluster(sp, k, keep_hierarchy=True)
+        spars = dk.hierarchical_cluster(sp, k)[1].sparsified
         inner = dk.local_search_kmedian(spars.view(), k, universe=spars.points)
         pi = {int(p): int(c) for p, c in zip(spars.points, inner.assignment)}
         rep = dk.audit_sparsifier(sp, spars.sigma, pi, k)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from detkmed.cli import main
+from detkmed.cli import build_parser, main
 from detkmed.generators import uniform_points
 from detkmed.harness import CSV_COLUMNS
 from detkmed.io import (
@@ -212,6 +212,26 @@ def test_adversary_cli_budget_exit(tmp_path):
     rc = main(["adversary", "--algo", "reverse-greedy", "--n", "64", "--k", "2",
                "--delta", "1", "--enforce-budget"])
     assert rc == 1
+
+
+def test_adversary_cli_over_budget_premise_not_met(capsys):
+    # local search spends 16383 queries against an allowance of 128
+    assert main(["adversary", "--algo", "local-search", "--n", "128", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "premise not met: 16383 queries exceed" in err
+    assert "no open node survives" not in err
+    assert "closed nodes exceed bound" not in err
+
+
+def test_guha_delta_defaults_read_one_constant(monkeypatch):
+    import detkmed.harness as harness
+
+    assert harness.SweepSpec().deltas == (harness.GUHA_DELTA,)
+    monkeypatch.setattr(harness, "GUHA_DELTA", 3.0)
+    parser = build_parser()
+    cluster = parser.parse_args(["cluster", "--algo", "guha", "--k", "1", "--input", "x"])
+    assert cluster.delta == 3.0
+    assert float(parser.parse_args(["bench", "--out", "x"]).deltas) == 3.0
 
 
 def test_replay_rejects_non_json_report(tmp_path, capsys):

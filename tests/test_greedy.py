@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import detkmed as dk
-from detkmed.greedy import GreedyState, _res_greedy_core
+from detkmed.greedy import GreedyState
 from detkmed.metric import leq
 from tests.conftest import line_space
 
@@ -142,11 +142,10 @@ def test_restricted_run_with_universe_subset():
 def test_core_trivial_path_evaluates_certificate_cost():
     sp = dk.generators.uniform_points(16, seed=5)
     before = sp.oracle.query_count
-    centers, cert, state = _res_greedy_core(
-        sp, np.arange(4), 4, dk.Objective.MEDIAN, None)
+    sol, cert = dk.res_greedy(sp, np.arange(4), 4)
     assert sp.oracle.query_count == before + 16 * 4
-    assert centers == [0, 1, 2, 3] and cert.steps == [] and state is None
-    assert cert.initial_cost == cert.final_cost == dk.cost(sp, [0, 1, 2, 3])
+    assert sol.centers == (0, 1, 2, 3) and cert.steps == []
+    assert cert.initial_cost == cert.final_cost == sol.cost == dk.cost(sp, [0, 1, 2, 3])
 
 
 def test_certificate_roundtrip():

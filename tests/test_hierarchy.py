@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import detkmed as dk
+from detkmed.harness import run_algorithm
 from detkmed.hierarchy import depth_for, harmonic, means_eps
 from detkmed.metric import leq
 from tests.conftest import line_space
@@ -183,3 +186,58 @@ def test_metrics_query_accounting():
     before = sp.oracle.query_count
     _, met = dk.hierarchical_cluster(sp, 4)
     assert met.queries == sp.oracle.query_count - before
+
+
+def _digest(centers, cost, queries, certs):
+    h = hashlib.sha256(repr((tuple(int(c) for c in centers), float(cost).hex(),
+                             int(queries))).encode())
+    for cert in certs:
+        h.update(cert.dumps().encode())
+    return h.hexdigest()
+
+
+# sha256 of centers, cost.hex(), queries and every node certificate's dumps(),
+# in level order; pins pipeline outputs bit for bit across refactors
+GOLDEN_PIPELINE = [
+    ("uniform-points", 300, 0, {}, 4, "median",
+     "48debb928dd4fe04c24b6319d037bda6eb3409487f760ae39691cf0a0dddfea1"),
+    ("uniform-points", 256, 1, {"norm": "l1", "unit_weights": False}, 6, "means",
+     "baf72a7302c8e8b6c661c86e31e6ffb5c86c1810e25307638fbeaf204c9a4e31"),
+    ("clustered-points", 400, 2, {"clusters": 8}, 5, "median",
+     "7093cdefbf391efcae860011d1370a9d43985f548ce97724ed7af6aa27ada57e"),
+    ("random-matrix", 120, 3, {}, 3, "median",
+     "4f23db2aa08e66d530c9eb47bd9b78f118d6d2fbc5380a91a540962d15882e6b"),
+    ("random-matrix", 90, 4, {"unit_weights": False}, 7, "means",
+     "71d8d92123d7f4a5ec723e23597596b16ea6e3c5a556892192796293618bec7a"),
+    ("clustered-points", 2048, 5, {"clusters": 64, "spread": 0.02}, 64, "means",
+     "29f7d1bd156da72bec88f54791982f3dc96f634edf93e02d23a1eb160c7e40c8"),
+]
+
+
+@pytest.mark.parametrize("gen,n,seed,params,k,objective,digest", GOLDEN_PIPELINE)
+def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest):
+    sp = dk.generators.make_instance(gen, n, seed=seed, **params)
+    sol, met = dk.hierarchical_cluster(sp, k, objective)
+    certs = [c for level in met.hierarchy.certificates for c in level if c is not None]
+    assert _digest(sol.centers, sol.cost, met.queries, certs) == digest
+
+
+# registry outputs with k < n, the reverse-greedy certificate included
+GOLDEN_REGISTRY = [
+    ("guha", "uniform-points", 200, 6, {}, 3, "median",
+     "dc41a5ddea1c6bafe59748a63c8cfe34cac887f1241b1fd5275672e7c55a63df"),
+    ("local-search", "clustered-points", 150, 7, {"clusters": 5}, 4, "means",
+     "5063e8599021802bb9f436b20f5119cbb2fd070732c7508ae0b250c2063c3d23"),
+    ("reverse-greedy", "random-matrix", 60, 8, {}, 5, "median",
+     "aa1b0d7ed4059121288baaa412e7a730469757a84762ec3ab54a4ff889f7f219"),
+    ("reverse-greedy", "uniform-points", 80, 9, {}, 6, "means",
+     "a651c4152c7aedeb38120edbb36c0196340fd5bba52049ffe0f29eabec62ca49"),
+]
+
+
+@pytest.mark.parametrize("algo,gen,n,seed,params,k,objective,digest", GOLDEN_REGISTRY)
+def test_golden_registry_digests(algo, gen, n, seed, params, k, objective, digest):
+    sp = dk.generators.make_instance(gen, n, seed=seed, **params)
+    sol, rec, cert = run_algorithm(algo, sp, k, objective)
+    certs = [] if cert is None else [cert]
+    assert _digest(sol.centers, sol.cost, rec.queries, certs) == digest
