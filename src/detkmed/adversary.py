@@ -647,6 +647,10 @@ class AdversaryOracle(DistanceOracle):
         super().__init__(session.n)
         self.session = session
 
+    def diameter_bound(self) -> float:
+        """No answer exceeds the gate route 2L. Makes no query."""
+        return self.session.L + self.session.L
+
     def _pairwise(self, rows, cols):
         answer = self.session.answer_query
         cols = cols.tolist()

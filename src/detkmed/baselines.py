@@ -139,9 +139,7 @@ def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
 @dataclass
 class GuhaLevel:
     parts: list[np.ndarray]
-    survivors: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    weights_after: np.ndarray | None = None
 
 
 @dataclass
@@ -208,7 +206,6 @@ class GuhaRunMetrics:
     queries: int
     hierarchy: GuhaHierarchy
     mapping: np.ndarray
-    mapping_cost: float
 
 
 def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
@@ -224,16 +221,14 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
     q0 = space.oracle.query_count
     hier = build_guha_partitions(space.n, k, delta)
     n = space.n
-    survivors = space.all_points()
+    in_level = np.ones(n, dtype=bool)
     weights_cur = space.weights.copy()
     # composed[x] = current representative of x after the levels applied so far
     composed = np.arange(n, dtype=np.int64)
     for i in range(hier.depth, -1, -1):
         level = hier.levels[i]
-        in_level = np.zeros(n, dtype=bool)
-        in_level[survivors] = True
         sigma_lvl = np.arange(n, dtype=np.int64)
-        new_survivors = []
+        survivors = np.zeros(n, dtype=bool)
         next_weights = np.zeros(n)
         for part in level.parts:
             pts = part[in_level[part]]
@@ -243,89 +238,24 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
             sol = local_search_kmedian(view, min(k, pts.size), solver_obj, universe=pts)
             sigma_lvl[pts] = sol.assignment
             np.add.at(next_weights, sol.assignment, weights_cur[pts])
-            new_survivors.extend(int(c) for c in sorted(sol.centers))
-        level.survivors = np.asarray(new_survivors, dtype=np.int64)
+            survivors[list(sol.centers)] = True
         level.sigma = sigma_lvl
-        level.weights_after = next_weights
         composed = sigma_lvl[composed]
-        survivors = level.survivors
+        in_level = survivors
         weights_cur = next_weights
     centers = sorted(int(c) for c in np.unique(composed))
     solution = build_solution(space, centers, obj, universe=None)
-    map_cost = mapping_cost(space, composed, space.all_points(), space.weights, obj)
-    metrics = GuhaRunMetrics(queries=space.oracle.query_count - q0, hierarchy=hier,
-                             mapping=composed, mapping_cost=map_cost)
-    return solution, metrics
-
-
-@dataclass
-class GuhaRecursionAudit:
-    opt_full: float
-    levels: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
-                         objective: Objective | str = Objective.MEDIAN) -> GuhaRecursionAudit:
-    """Run the branching baseline and certify, level by level, that each
-    composed mapping stays within (2a + (1 + 2a) b) * OPT with the measured
-    per-level solver ratio a and the measured ratio b of the previous
-    composition. Brute-force sized instances only."""
-    obj = as_objective(objective)
-    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
-    _, metrics = guha_hierarchical(space, k, delta, obj)
-    hier = metrics.hierarchy
-    n = space.n
-    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj, budget=2_000_000)
-    audit = GuhaRecursionAudit(opt_full=opt_full)
-    if opt_full <= 0:
-        if metrics.mapping_cost > 0:
-            audit.violations.append("OPT = 0 but composed mapping has positive cost")
-        return audit
-
-    composed = np.arange(n, dtype=np.int64)
-    beta_prev = 0.0
-    for i in range(hier.depth, -1, -1):
-        level = hier.levels[i]
-        if i == hier.depth:
-            members = space.all_points()
-            weights = space.weights
-        else:
-            members = hier.levels[i + 1].survivors
-            weights = hier.levels[i + 1].weights_after
-        view = space.with_weights(weights)
-        opt_level, _ = opt_bruteforce(view, min(k, members.size), universe=members,
-                                      candidates=members, objective=solver_obj,
-                                      budget=2_000_000)
-        level_cost = mapping_cost(space, level.sigma, members, weights, solver_obj)
-        alpha = level_cost / opt_level if opt_level > 0 else 0.0
-        if opt_level <= 0 and level_cost > 0:
-            audit.violations.append(f"level {i}: zero OPT but solver cost {level_cost!r}")
-        composed = level.sigma[composed]
-        comp_cost = mapping_cost(space, composed, space.all_points(), space.weights,
-                                 solver_obj)
-        bound = (2 * alpha + (1 + 2 * alpha) * beta_prev) * opt_full
-        audit.levels.append({"level": i, "alpha": alpha, "beta_prev": beta_prev,
-                             "composed_cost": comp_cost, "bound": bound})
-        if not leq(comp_cost, bound):
-            audit.violations.append(
-                f"level {i}: composed cost {comp_cost!r} exceeds recursion bound {bound!r}")
-        beta_prev = comp_cost / opt_full
-    return audit
+    return solution, GuhaRunMetrics(space.oracle.query_count - q0, hier, composed)
 
 
 @dataclass
 class SparsifierAudit:
     opt_full: float
     opt_sparse: float
-    alpha: float
-    beta: float
     composed_cost: float
-    bound: float
+    alpha: float = 0.0
+    beta: float = 0.0
+    bound: float = 0.0
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -337,44 +267,64 @@ def audit_sparsifier(space: WeightedMetricSpace, sigma: np.ndarray, pi: dict | n
                      k: int, objective: Objective | str = Objective.MEDIAN) -> SparsifierAudit:
     """Measure the (alpha, beta) ratios of a sparsifier mapping sigma and an
     inner solution pi, then assert the composed-cost bound
-    (2*alpha + (1 + 2*alpha)*beta) * OPT_k. Brute-force sized instances only."""
+    composition_factor(alpha, beta) * OPT_k. Brute-force sized instances only."""
     obj = as_objective(objective)
-    n = space.n
     sigma = np.asarray(sigma, dtype=np.int64)
     targets = np.unique(sigma)
-    w_sparse = np.zeros(n)
+    w_sparse = np.zeros(space.n)
     np.add.at(w_sparse, sigma, space.weights)
-    pi_map = {int(y): int(pi[y]) for y in targets} if not isinstance(pi, dict) else {
-        int(y): int(v) for y, v in pi.items()}
 
     opt_full, _ = opt_bruteforce(space, k, objective=obj)
-    sparse_view = space.with_weights(w_sparse)
-    opt_sparse, _ = opt_bruteforce(sparse_view, k, universe=targets, candidates=targets,
-                                   objective=obj)
+    opt_sparse, _ = opt_bruteforce(space.with_weights(w_sparse), min(k, targets.size),
+                                   universe=targets, candidates=targets, objective=obj)
     beta_cost = mapping_cost(space, sigma, space.all_points(), space.weights, obj)
-    pi_assign = np.arange(n, dtype=np.int64)
-    for y, v in pi_map.items():
-        pi_assign[y] = v
+    # pi maps every target (or, as a dict, the targets it names) to its center
+    pi_assign = space.all_points()
+    named = np.fromiter(pi, np.int64) if isinstance(pi, dict) else targets
+    pi_assign[named] = [pi[int(y)] for y in named]
     alpha_cost = mapping_cost(space, pi_assign, targets, w_sparse, obj)
     composed = pi_assign[sigma]
     composed_cost = mapping_cost(space, composed, space.all_points(), space.weights, obj)
-    audit = SparsifierAudit(opt_full=opt_full, opt_sparse=opt_sparse,
-                            alpha=0.0, beta=0.0, composed_cost=composed_cost, bound=0.0)
+    audit = SparsifierAudit(opt_full, opt_sparse, composed_cost)
     if opt_full <= 0:
         if not leq(composed_cost, 0.0):
             audit.violations.append("degenerate OPT = 0 but composed cost positive")
         return audit
-    if opt_sparse <= 0:
-        # a zero-cost sparsified optimum forces a zero-cost inner solution
-        if not leq(alpha_cost, 0.0):
-            audit.violations.append("inner OPT = 0 but inner solution cost positive")
-            return audit
-        audit.alpha = 0.0
-    else:
+    if opt_sparse > 0:
         audit.alpha = alpha_cost / opt_sparse
+    elif not leq(alpha_cost, 0.0):
+        # a zero-cost sparsified optimum forces a zero-cost inner solution
+        audit.violations.append("inner OPT = 0 but inner solution cost positive")
+        return audit
     audit.beta = beta_cost / opt_full
-    audit.bound = (2 * audit.alpha + (1 + 2 * audit.alpha) * audit.beta) * opt_full
+    audit.bound = composition_factor(audit.alpha, audit.beta) * opt_full
     if not leq(composed_cost, audit.bound):
         audit.violations.append(
             f"composed cost {composed_cost!r} exceeds sparsifier bound {audit.bound!r}")
     return audit
+
+
+def composition_factor(alpha: float, beta: float) -> float:
+    """The sparsifier-composition lemma: an alpha-approximate solution on the
+    space sparsified by a beta-approximate mapping composes to a mapping of
+    cost at most (2*alpha + (1 + 2*alpha)*beta) * OPT_k."""
+    return 2 * alpha + (1 + 2 * alpha) * beta
+
+
+def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
+                         objective: Objective | str = Objective.MEDIAN
+                         ) -> list[SparsifierAudit]:
+    """Run the branching baseline and audit each level, deepest first, as one
+    sparsifier composition: sigma is the mapping composed from the deeper
+    levels (the identity at the deepest) and pi the level's own mapping, so
+    the measured beta is the previous composition's ratio. Returns one
+    audit per level. Brute-force sized instances only."""
+    obj = as_objective(objective)
+    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
+    _, metrics = guha_hierarchical(space, k, delta, obj)
+    composed = space.all_points()
+    audits = []
+    for level in reversed(metrics.hierarchy.levels):
+        audits.append(audit_sparsifier(space, composed, level.sigma, k, solver_obj))
+        composed = level.sigma[composed]
+    return audits

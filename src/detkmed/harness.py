@@ -79,9 +79,13 @@ def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
                   ) -> tuple[Solution, RunRecord, BoundCertificate | None]:
     """Run one registered algorithm on a fresh counter window. The removal
     certificate comes back for reverse greedy, None otherwise; guha runs at
-    GUHA_DELTA unless delta is given."""
+    GUHA_DELTA unless delta is given. No cost exceeds sum(w) times the
+    oracle's diameter bound under the objective, so an input whose bound
+    overflows float64 is rejected before the first query."""
     run = _algorithm(name)
     obj = as_objective(objective)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj.total(space.weights.sum(keepdims=True), np.array([space.oracle.diameter_bound()]))
     delta = GUHA_DELTA if delta is None else delta
     q0 = space.oracle.query_count
     t0 = time.perf_counter()

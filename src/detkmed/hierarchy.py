@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import local_search_kmedian
+from .baselines import audit_sparsifier, composition_factor, local_search_kmedian
 from .greedy import BoundCertificate, audit_certificate, res_greedy
 from .metric import (
     EnumerationBudgetError,
@@ -235,8 +235,9 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     """Run the pipeline and certify the whole bound chain with exact optima.
 
     Per internal node: cost(S_X, X) <= cost(R, X) + 2(H_{3k} - H_k) * OPT_k(X),
-    the telescoped bound on cost(V_0, V), the measured-(alpha, beta) extraction
-    bound, and step-level certificate audits. Requires brute-forceable sizes.
+    the telescoped bound on cost(V_0, V), step-level certificate audits, and
+    `audit_sparsifier` on the extraction, whose measured alpha composes with
+    the chain's certified beta. Requires brute-forceable sizes.
     """
     obj = as_objective(objective)
     solution, metrics = hierarchical_cluster(space, k, obj)
@@ -297,23 +298,15 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
         audit.violations.append(
             f"cost(V_0, V) = {v0_cost!r} exceeds the telescoped bound "
             f"{audit.chain_v0_bound!r}")
-    # extraction side: measured alpha on the sparsified space, chain beta above
-    sparse_view = sparsified.view()
-    opt_sparse, _ = opt_bruteforce(sparse_view, min(k, sparsified.points.size),
-                                   universe=sparsified.points,
-                                   candidates=sparsified.points,
-                                   objective=obj)
-    inner_cost = cost(sparse_view, solution.centers, universe=sparsified.points,
-                      objective=obj)
-    if opt > 0 and opt_sparse > 0:
-        audit.alpha = inner_cost / opt_sparse
+    # extraction side: the sparsifier audit's measured alpha, the chain's beta
+    extraction = audit_sparsifier(space, sparsified.sigma, solution.assignment, k, obj)
+    audit.violations.extend(extraction.violations)
+    if opt > 0 and extraction.opt_sparse > 0:
+        audit.alpha = extraction.alpha
         audit.beta_chain = audit.chain_v0_bound / opt
-        audit.chain_ratio_bound = (2 * audit.alpha
-                                   + (1 + 2 * audit.alpha) * audit.beta_chain)
+        audit.chain_ratio_bound = composition_factor(audit.alpha, audit.beta_chain)
         if not leq(audit.ratio, audit.chain_ratio_bound):
             audit.violations.append(
                 f"ratio {audit.ratio!r} exceeds audited chain bound "
                 f"{audit.chain_ratio_bound!r}")
-    elif solution.cost > 0 and opt == 0:
-        audit.violations.append("OPT = 0 but the pipeline returned positive cost")
     return audit

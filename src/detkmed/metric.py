@@ -139,6 +139,10 @@ class MatrixOracle(DistanceOracle):
     def _pairwise(self, rows, cols):
         return self._m[np.ix_(rows, cols)]
 
+    def diameter_bound(self) -> float:
+        """No distance exceeds this: the largest entry. Makes no query."""
+        return float(self._m.max())
+
 
 class PointsOracle(DistanceOracle):
     """Point set under an l1 or l2 norm."""
@@ -158,6 +162,14 @@ class PointsOracle(DistanceOracle):
     @property
     def points(self) -> np.ndarray:
         return self._p
+
+    def diameter_bound(self) -> float:
+        """No distance exceeds this: the bounding box's diagonal in the
+        kernel's own arithmetic, inf where a span or (l2) its square
+        overflows. Makes no query and raises no warning."""
+        with np.errstate(over="ignore"):
+            span = self._p.max(axis=0) - self._p.min(axis=0)
+            return float(span.sum() if self.norm == "l1" else np.sqrt((span * span).sum()))
 
     def _pairwise(self, rows, cols):
         out = np.empty((rows.size, cols.size))

@@ -276,8 +276,8 @@ def test_c09_guha_structure_and_sparsifier():
         pi = {int(p): int(c) for p, c in zip(spars.points, inner.assignment)}
         rep = dk.audit_sparsifier(sp, spars.sigma, pi, k)
         violations.extend(f"sparsifier #{s}: {v}" for v in rep.violations)
-        rec = audit_guha_recursion(sp, k, 2.0)
-        violations.extend(f"recursion #{s}: {v}" for v in rec.violations)
+        for level in audit_guha_recursion(sp, k, 2.0):
+            violations.extend(f"recursion #{s}: {v}" for v in level.violations)
         audited += 1
     _report("C09 guha structure + sparsifier",
             built >= 30 and audited == 12 and not violations,

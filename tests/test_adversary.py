@@ -10,7 +10,7 @@ import pytest
 import detkmed as dk
 from detkmed.adversary import AdversarySession, AdversaryOracle, run_against
 from detkmed.cli import main
-from detkmed.harness import adversary_algorithm
+from detkmed.harness import adversary_algorithm, run_algorithm
 from detkmed.metric import Objective
 
 
@@ -257,6 +257,23 @@ def test_audit_session_counts_and_gate():
     assert audit.consistency_pairs == audit.algo_queries + audit.artificial_queries
 
 
+@pytest.mark.parametrize("algo,n,k,delta,queries", [
+    ("hierarchical", 512, 2, 40.0, 32_788),
+    ("reverse-greedy", 64, 2, 32.0, 4_032),
+])
+def test_audit_session_within_budget(algo, n, k, delta, queries):
+    # Runs inside the n*k*delta allowance, so the witness and closed-node
+    # lemmas are checked under their premise and the paper's edge bound
+    # 2*nominal + 2nk + n runs. Both runs have r = 0: a within-budget run with
+    # r >= 1 needs M <= n and delta >~ 3.5 * (log2(n/k) + 2), out of reach at
+    # test sizes.
+    audit = run_against(adversary_algorithm(algo), n, k, delta).audit
+    assert audit.algo_queries == queries <= audit.nominal_budget == n * k * delta
+    assert audit.within_budget and audit.r == 0
+    assert audit.passed, audit.violations
+    assert audit.edges_total <= 2 * audit.nominal_budget + 2 * n * k + n
+
+
 def test_run_against_deterministic():
     r1 = run_against(adversary_algorithm("hierarchical"), 256, 2, 1.0)
     r2 = run_against(adversary_algorithm("hierarchical"), 256, 2, 1.0)
@@ -276,6 +293,15 @@ def test_oracle_counts_and_diagonal():
     assert sess.algo_queries == 0
     oracle.distance(4, 5)
     assert sess.algo_queries == 1
+
+
+def test_run_algorithm_on_an_adversary_space():
+    # the pre-query overflow check reads the adversary's query-free bound 2L
+    sess = AdversarySession(64, 2, 1.0)
+    space = dk.WeightedMetricSpace(AdversaryOracle(sess), np.ones(64))
+    _, record, _ = run_algorithm("local-search", space, 2)
+    assert record.queries == 4224
+    assert sess.transcript()[2].max() <= space.oracle.diameter_bound() == 2 * sess.L
 
 
 def test_hierarchical_run_full_audit_small():
@@ -301,7 +327,9 @@ def test_means_mode_uses_squared_threshold():
 # maps: sha256 of the qx, qy, qa transcript bytes, edge_count(),
 # closed_points() and solution_cost.hex(). The three hierarchical cases cover
 # the three two-hop regimes (L ~ 0.91: gate route at the lower bound;
-# L ~ 1.31: gate route within one unit edge of it; L ~ 1.52: scan).
+# L ~ 1.31: gate route within one unit edge of it; L ~ 1.52: scan). The guha
+# row was re-recorded when guha stopped pricing its composed mapping: 297
+# repeat answers fewer (10,827 -> 10,530), edges, closures and cost unchanged.
 GOLDEN = [
     ("hierarchical", 1030, 2, "means",
      "518d7fdf62becb4875c3de379b3ea3d50adbe94d7ccaac21128162c9b4323a2a",
@@ -313,7 +341,7 @@ GOLDEN = [
      "d4ac94b35f44577939081c0137cc853d9ce3ae4c33071ad5a55b1294ee3ad37f",
      185936, 128, "0x1.e8e0000000000p+12"),
     ("guha", 300, 3, "means",
-     "4878d60daf144fedeb974688d1a3bb9dd02dd2d5dad6024fd21b20fada32fc27",
+     "ebd759b41fc5db4cf7a783dcbe7bb4574e6270ac7ff430efdeb1ba556bcc651b",
      2796, 0, "0x1.2900000000000p+8"),
     ("reverse-greedy", 300, 3, "means",
      "2320793afad4260973c1d6f669ad924f030b9f33a176d12b07b7432d27bda5f7",

@@ -6,7 +6,8 @@ import pytest
 import detkmed as dk
 from detkmed.baselines import IMPROVEMENT_FACTOR, build_guha_partitions, guha_hierarchical
 from detkmed.harness import run_algorithm
-from detkmed.metric import leq
+from detkmed.metric import leq, mapping_cost
+from tests.conftest import line_space
 
 
 def test_local_search_k_equals_n():
@@ -122,7 +123,7 @@ def test_guha_runs_and_reports(mid_spaces):
     assert metrics.queries > 0
     assert metrics.mapping.shape == (sp.n,)
     # composed mapping cost upper-bounds the nearest-center solution cost
-    assert leq(sol.cost, metrics.mapping_cost)
+    assert leq(sol.cost, mapping_cost(sp, metrics.mapping, sp.all_points(), sp.weights))
 
 
 def test_guha_means_objective(mid_spaces):
@@ -150,8 +151,8 @@ def test_guha_level_recursion_bound(tiny_spaces):
         if sp.n < 2 * k:
             continue
         obj = "means" if i % 3 == 2 else "median"
-        rep = audit_guha_recursion(sp, k, 2.0, objective=obj)
-        assert rep.passed, rep.violations
+        for level in audit_guha_recursion(sp, k, 2.0, objective=obj):
+            assert level.passed, level.violations
 
 
 # calibrated on the seeded grid below (worst measured 0.174), then frozen
@@ -183,6 +184,27 @@ def test_audit_sparsifier_identity_cases():
     rep2 = dk.audit_sparsifier(sp, sigma2, {1: 1, 6: 6}, 2)
     assert rep2.passed, rep2.violations
     assert rep2.alpha == 0.0
+
+
+def test_audit_sparsifier_pins_the_lemma_arithmetic():
+    sp = line_space([0, 1, 10, 11])
+    sigma, pi = [0, 0, 2, 2], {0: 0, 2: 0}
+    rep = dk.audit_sparsifier(sp, sigma, pi, 1)
+    assert (rep.opt_full, rep.opt_sparse, rep.alpha) == (20.0, 20.0, 1.0)
+    assert (rep.beta, rep.composed_cost) == (0.1, 22.0)
+    assert rep.bound == pytest.approx(46.0)
+    assert rep.passed, rep.violations
+    # sparse optimum 18 below OPT 20: alpha is measured against the sparse one
+    rep = dk.audit_sparsifier(sp, [1, 1, 2, 2], {1: 1, 2: 1}, 1)
+    assert (rep.opt_full, rep.opt_sparse, rep.alpha) == (20.0, 18.0, 1.0)
+    assert rep.bound == pytest.approx(46.0)
+    # two sparse targets at k = 2: a zero sparse optimum, a positive inner cost
+    rep = dk.audit_sparsifier(sp, sigma, pi, 2)
+    assert rep.violations == ["inner OPT = 0 but inner solution cost positive"]
+    # k above the target count: the sparse optimum keeps every target
+    rep = dk.audit_sparsifier(sp, sigma, {0: 0, 2: 2}, 3)
+    assert (rep.opt_full, rep.opt_sparse, rep.alpha, rep.beta) == (1.0, 0.0, 0.0, 2.0)
+    assert rep.passed, rep.violations
 
 
 def test_audit_sparsifier_end_to_end(tiny_spaces):

@@ -222,10 +222,12 @@ def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest):
     assert _digest(sol.centers, sol.cost, met.queries, certs) == digest
 
 
-# registry outputs with k < n, the reverse-greedy certificate included
+# registry outputs with k < n, the reverse-greedy certificate included; the
+# guha row was re-recorded when guha stopped pricing its composed mapping
+# (9,230 -> 9,030 queries, centers and cost unchanged)
 GOLDEN_REGISTRY = [
     ("guha", "uniform-points", 200, 6, {}, 3, "median",
-     "dc41a5ddea1c6bafe59748a63c8cfe34cac887f1241b1fd5275672e7c55a63df"),
+     "2eac08746244554b3988fb150c55fa418c02b2c70e484b1ff9e97655d6f5679a"),
     ("local-search", "clustered-points", 150, 7, {"clusters": 5}, 4, "means",
      "5063e8599021802bb9f436b20f5119cbb2fd070732c7508ae0b250c2063c3d23"),
     ("reverse-greedy", "random-matrix", 60, 8, {}, 5, "median",

@@ -59,6 +59,28 @@ def test_cost_overflow_is_an_input_error():
         dk.cost(sp, [2])
 
 
+@pytest.mark.parametrize("coords,weights,objective", [
+    ([[1e308], [-1e308], [0.0]], None, "median"),
+    ([[1e200], [-1e200], [0.0]], None, "means"),
+    ([[0.0], [1.0]], [1e308, 1e308], "median"),
+])
+def test_run_algorithm_rejects_cost_overflow_before_any_query(coords, weights, objective):
+    sp = dk.WeightedMetricSpace.from_points(coords, weights)
+    for algo in sorted(ALGORITHMS):
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            run_algorithm(algo, sp, 1, objective)
+    assert sp.oracle.query_count == 0
+
+
+def test_diameter_bound_covers_every_distance():
+    rng = np.random.default_rng(5)
+    for norm in ("l1", "l2"):
+        sp = dk.WeightedMetricSpace.from_points(rng.normal(size=(30, 3)), norm=norm)
+        D = sp.pairwise(sp.all_points(), sp.all_points())
+        assert D.max() <= sp.oracle.diameter_bound()
+        assert dk.WeightedMetricSpace.from_matrix(D).oracle.diameter_bound() == D.max()
+
+
 def test_single_distance_counts_once_even_on_diagonal():
     sp = line_space([0, 1])
     before = sp.oracle.query_count
@@ -117,6 +139,7 @@ def _maybe_corrupt(data, values):
     return values
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_any_input_runs_to_finite_cost_or_input_error(data):
