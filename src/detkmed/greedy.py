@@ -9,11 +9,12 @@ routine usable as a restricted solver inside the hierarchical pipeline.
 The implementation keeps, for every point, its candidate list pre-sorted by
 (distance, center id) and walks two cursors (nearest and second nearest alive
 center) forward past removed entries. Cursor advances are amortized over the
-run, each iteration costs O(n) on top of them, and the distance oracle is
-touched exactly once per (point, candidate) pair during initialization.
-`res_greedy` is the one driver. A candidate set already no larger than k'
-goes through it as a zero-step run, so every call, trivial pipeline nodes
-included, requests |U| x |X| once and nothing more.
+run and each iteration costs O(n) on top of them. All distances come from
+one |U| x |X| matrix fixed at initialization: the caller may hand it in
+(the pipeline assembles each node's matrix from its children's blocks),
+otherwise it is requested once. `res_greedy` is the only run loop. A
+candidate set already no larger than k' goes through it as a zero-step run,
+so a whole-space call requests |U| x |X| once and nothing more.
 """
 
 from __future__ import annotations
@@ -98,19 +99,27 @@ class GreedyState:
 
     Exposes the per-point candidate lists, the clusters induced by nearest
     alive centers, and the exact removal deltas change(y) = cost(S-y) - cost(S),
-    recomputed from the structures at every step.
+    recomputed from the structures at every step. `distances`, when given, is
+    the |U| x |X| matrix (rows in universe order, candidates ascending) and
+    no query is made; otherwise that matrix is requested.
     """
 
     def __init__(self, space: WeightedMetricSpace, candidates, universe=None,
-                 objective: Objective | str = Objective.MEDIAN):
+                 objective: Objective | str = Objective.MEDIAN, distances=None):
         self.objective = _greedy_objective(as_objective(objective))
         self.space = space
         U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-        cand = np.unique(_index_array(candidates, space.n, "candidates"))
+        cand = _index_array(candidates, space.n, "candidates")
+        if distances is None:
+            cand = np.unique(cand)
+            distances = space.pairwise(U, cand)
+        elif distances.shape != (U.size, cand.size) or not (cand[1:] > cand[:-1]).all():
+            raise MetricInputError("distances must be the |U| x |X| block with "
+                                   "candidates ascending and distinct")
         self.universe = U
         self.cand = cand
         self.w = space.weights[U]
-        self._D = space.pairwise(U, cand)
+        self._D = distances
         # ties within a list follow candidate id because columns are id-sorted
         self._order = np.argsort(self._D, axis=1, kind="stable")
         m = cand.size
@@ -206,15 +215,18 @@ class GreedyState:
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
                objective: Objective | str = Objective.MEDIAN, universe=None,
-               k: int | None = None, eps: float | None = None) -> tuple[Solution, BoundCertificate]:
+               k: int | None = None, eps: float | None = None,
+               distances=None) -> tuple[Solution, BoundCertificate]:
     """Res-Greedy_{k'}: reverse greedy from S = X down to k' centers.
 
     Returns the solution (assignment over the universe) and the removal-trace
     certificate. When |X| <= k' the run takes no step: X comes back unchanged
     with an empty trace, and its certificate still carries the cost of X.
+    `distances` is passed to GreedyState: given, the run makes no query.
     """
     k_prime = check_k(k_prime, name="k_prime")
-    state = GreedyState(space, candidates, universe=universe, objective=objective)
+    state = GreedyState(space, candidates, universe=universe, objective=objective,
+                        distances=distances)
     current = state.current_cost()
     cert = BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
                             universe_size=state.universe.size, objective=state.objective,

@@ -20,6 +20,7 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     as_objective,
+    check_cost_bound,
     check_k,
     opt_bruteforce,
 )
@@ -84,8 +85,7 @@ def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
     overflows float64 is rejected before the first query."""
     run = _algorithm(name)
     obj = as_objective(objective)
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj.total(space.weights.sum(keepdims=True), np.array([space.oracle.diameter_bound()]))
+    check_cost_bound(space, obj)
     delta = GUHA_DELTA if delta is None else delta
     q0 = space.oracle.query_count
     t0 = time.perf_counter()

@@ -4,8 +4,12 @@ restricted reverse-greedy solves, sparsifier extraction down to k centers.
 Phase I builds the refinement tree without touching the oracle. Phase II
 walks it bottom-up, running Res-Greedy_{2k} on each part restricted to the
 union of its children's solutions (so every candidate set has size <= 4k).
-Phase III projects the space onto the <= 2k survivors, accumulates weights,
-and runs the constant-factor local-search solver on that sparsified space.
+It asks each pair at most once outside the leaves' own squares: a node's
+matrix is assembled from its children's surviving columns plus the two
+cross blocks, and the root's surviving columns are the V x V_0 block that
+Phase III's sparsifier reads. Phase III projects the space onto the <= 2k
+survivors, accumulates weights, and runs the constant-factor local-search
+solver on that sparsified space.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .metric import (
     as_objective,
     assign_nearest,
     build_solution,
+    check_cost_bound,
     check_k,
     cost,
     leq,
@@ -57,6 +62,8 @@ class PartitionHierarchy:
     parts: list[list[np.ndarray]]
     centers: list[list[list[int]]] | None = None
     certificates: list[list[BoundCertificate | None]] | None = None
+    # V x V_0 (points in order, centers ascending), left by phase2 for sparsify
+    root_distances: np.ndarray | None = None
 
     def structure_violations(self) -> list[str]:
         out = []
@@ -99,25 +106,64 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
     return PartitionHierarchy(n=n, k=k, depth=depth, parts=levels)
 
 
+def _cross_block(space: WeightedMetricSpace, a: np.ndarray, b: np.ndarray,
+                 left: tuple[np.ndarray, np.ndarray],
+                 right: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates R = c(a) ++ c(b) of the node X = a ++ b and its |X| x |R|
+    matrix, from each child's (centers, surviving columns) pair. Asks
+    a x c(b), then (b minus c(b)) x c(a), each row-major; the c(b) x c(a)
+    rows are the transpose of a x c(b)'s c(a) rows (every oracle answers
+    d(x, y) and d(y, x) alike). Parts are ascending id ranges, so an id's row
+    is its offset from the part's first id."""
+    ca, da = left
+    if b.size == 0:
+        return ca, da
+    cb, db = right
+    na, ma = a.size, ca.size
+    D = np.empty((na + b.size, ma + cb.size))
+    D[:na, :ma] = da
+    D[na:, ma:] = db
+    D[:na, ma:] = upper = space.pairwise(a, cb)
+    lower = D[na:, :ma]
+    kept = cb - b[0]
+    if kept.size < b.size:
+        rest = np.ones(b.size, dtype=bool)
+        rest[kept] = False
+        lower[rest] = space.pairwise(b[rest], ca)
+    lower[kept] = upper[ca - a[0]].T
+    return np.concatenate([ca, cb]), D
+
+
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
            objective: Objective | str = Objective.MEDIAN) -> list[int]:
-    """Phase II. Fills hierarchy.centers / certificates and returns V_0."""
+    """Phase II. Fills hierarchy.centers / certificates / root_distances and
+    returns V_0. Each leaf asks its X x X square; each internal node builds
+    its matrix with _cross_block, and a child's block is dropped once its
+    parent has used it."""
     obj = as_objective(objective)
     eps = means_eps(space.n, k) if obj is Objective.MEANS else None
     depth = hierarchy.depth
     hierarchy.centers = [[[] for _ in level] for level in hierarchy.parts]
     hierarchy.certificates = [[None for _ in level] for level in hierarchy.parts]
+    below: list[tuple[np.ndarray, np.ndarray] | None] = []
     for i in range(depth, -1, -1):
+        level: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(hierarchy.parts[i])
         for j, part in enumerate(hierarchy.parts[i]):
             if part.size == 0:
                 continue
             if i == depth:
-                restriction = part
+                restriction, D = part, space.pairwise(part, part)
             else:
-                restriction = hierarchy.centers[i + 1][2 * j] + hierarchy.centers[i + 1][2 * j + 1]
+                a, b = hierarchy.parts[i + 1][2 * j:2 * j + 2]
+                restriction, D = _cross_block(space, a, b, below[2 * j], below[2 * j + 1])
+                below[2 * j] = below[2 * j + 1] = None
             solution, hierarchy.certificates[i][j] = res_greedy(
-                space, restriction, 2 * k, obj, part, k=k, eps=eps)
+                space, restriction, 2 * k, obj, part, k=k, eps=eps, distances=D)
             hierarchy.centers[i][j] = list(solution.centers)
+            kept = np.searchsorted(restriction, solution.centers)
+            level[j] = restriction[kept], D[:, kept]
+        below = level
+    hierarchy.root_distances = below[0][1]
     return hierarchy.centers[0][0]
 
 
@@ -140,11 +186,13 @@ class SparsifiedSpace:
         return self.space.with_weights(w)
 
 
-def sparsify(space: WeightedMetricSpace, v0) -> SparsifiedSpace:
+def sparsify(space: WeightedMetricSpace, v0, distances=None) -> SparsifiedSpace:
     """Phase III sparsifier: sigma maps every point to its nearest survivor
-    (ties to the smallest index); w_0 accumulates the projected weight."""
+    (ties to the smallest index); w_0 accumulates the projected weight.
+    `distances`, the V x V_0 block with V_0 ascending, spares the sweep's
+    n * |V_0| queries."""
     points = np.unique(np.asarray(v0, dtype=np.int64))
-    sigma = assign_nearest(space, points)
+    sigma = assign_nearest(space, points, distances=distances)
     w0 = np.zeros(points.size)
     local = np.searchsorted(points, sigma)
     np.add.at(w0, local, space.weights)
@@ -178,12 +226,14 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     byte-identical outputs. The metrics carry the query count, the filled
     hierarchy and the sparsifier."""
     obj = as_objective(objective)
+    check_cost_bound(space, obj)
     q0 = space.oracle.query_count
     hierarchy = build_partitions(space, k)
     if space.oracle.query_count != q0:
         raise RuntimeError("Phase I must not query the oracle")
     v0 = phase2(space, hierarchy, k, obj)
-    sparsified = sparsify(space, v0)
+    sparsified = sparsify(space, v0, hierarchy.root_distances)
+    hierarchy.root_distances = None
     solution = extract_k(sparsified, k, obj)
     return solution, PipelineMetrics(queries=space.oracle.query_count - q0,
                                      hierarchy=hierarchy, sparsified=sparsified)
@@ -242,7 +292,12 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     obj = as_objective(objective)
     solution, metrics = hierarchical_cluster(space, k, obj)
     hierarchy, sparsified = metrics.hierarchy, metrics.sparsified
-    opt, _ = opt_bruteforce(space, k, objective=obj)
+    if obj is Objective.MEDIAN:
+        # the extraction audit brute-forces OPT_k(V) itself; it is read from there
+        extraction = audit_sparsifier(space, sparsified.sigma, solution.assignment, k, obj)
+        opt = extraction.opt_full
+    else:
+        opt, _ = opt_bruteforce(space, k, objective=obj)
     v0 = hierarchy.centers[0][0]
     v0_cost = cost(space, v0, objective=obj)
     merge_c = 2.0 * harmonic(k, 3 * k)
@@ -299,7 +354,6 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
             f"cost(V_0, V) = {v0_cost!r} exceeds the telescoped bound "
             f"{audit.chain_v0_bound!r}")
     # extraction side: the sparsifier audit's measured alpha, the chain's beta
-    extraction = audit_sparsifier(space, sparsified.sigma, solution.assignment, k, obj)
     audit.violations.extend(extraction.violations)
     if opt > 0 and extraction.opt_sparse > 0:
         audit.alpha = extraction.alpha

@@ -65,6 +65,15 @@ def as_objective(obj: "Objective | str") -> Objective:
     return obj if isinstance(obj, Objective) else Objective(obj)
 
 
+def check_cost_bound(space: "WeightedMetricSpace", objective: "Objective | str") -> None:
+    """No cost exceeds sum(w) times the oracle's diameter bound under the
+    objective, so an input whose bound overflows float64 raises
+    MetricInputError here, before the first query."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        as_objective(objective).total(space.weights.sum(keepdims=True),
+                                      np.array([space.oracle.diameter_bound()]))
+
+
 def check_k(k, hi: float = math.inf, name: str = "k") -> int:
     """k as an int after checking it is an integer (bool is not) in [1, hi]."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
@@ -252,16 +261,17 @@ def _index_array(ids, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _sweep(space: WeightedMetricSpace, centers, universe):
-    """The nearest-center sweep: one |U| x |S| request, rows in universe
-    order and columns in the given center order. Returns the universe, the
-    column of each point's nearest center (ties to the first column) and its
+def _sweep(space: WeightedMetricSpace, centers, universe, distances=None):
+    """The nearest-center sweep over one |U| x |S| block, rows in universe
+    order and columns in the given center order: requested, unless the
+    caller already holds it as `distances`. Returns the universe, the column
+    of each point's nearest center (ties to the first column) and its
     distance."""
     if centers is None or len(centers) == 0:
         raise MetricInputError("empty solution")
     S = _index_array(centers, space.n, "centers")
     U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
-    D = space.pairwise(U, S)
+    D = space.pairwise(U, S) if distances is None else distances
     idx = np.argmin(D, axis=1)
     return U, idx, D[np.arange(U.size), idx]
 
@@ -276,11 +286,13 @@ def cost(space: WeightedMetricSpace, centers, universe=None,
     return as_objective(objective).total(space.weights[U], dmin)
 
 
-def assign_nearest(space: WeightedMetricSpace, centers, universe=None) -> np.ndarray:
+def assign_nearest(space: WeightedMetricSpace, centers, universe=None,
+                   distances=None) -> np.ndarray:
     """Nearest center id for each universe point; ties go to the smallest
-    point index. Queries |S| * |U|."""
+    point index. Queries |S| * |U|, or nothing when `distances` already holds
+    that block with the centers ascending."""
     S = np.unique(np.asarray(centers, dtype=np.int64))
-    _, idx, _ = _sweep(space, S, universe)
+    _, idx, _ = _sweep(space, S, universe, distances)
     return S[idx]
 
 

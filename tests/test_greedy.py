@@ -148,6 +148,21 @@ def test_core_trivial_path_evaluates_certificate_cost():
     assert cert.initial_cost == cert.final_cost == sol.cost == dk.cost(sp, [0, 1, 2, 3])
 
 
+def test_given_distances_replace_the_request():
+    sp = dk.generators.uniform_points(30, seed=6)
+    cand = np.arange(3, 25, 2)
+    asked, asked_cert = dk.res_greedy(sp, cand, 4, universe=np.arange(5, 30))
+    D = sp.pairwise(np.arange(5, 30), cand)
+    before = sp.oracle.query_count
+    given, given_cert = dk.res_greedy(sp, cand, 4, universe=np.arange(5, 30), distances=D)
+    assert sp.oracle.query_count == before
+    assert given.centers == asked.centers and given.cost == asked.cost
+    assert given_cert.dumps() == asked_cert.dumps()
+    for bad_cand, bad_D in ((cand[::-1], D[:, ::-1]), (cand, D[1:]), (np.r_[cand, cand[-1]], D)):
+        with pytest.raises(dk.MetricInputError, match="ascending"):
+            GreedyState(sp, bad_cand, np.arange(5, 30), distances=bad_D)
+
+
 def test_certificate_roundtrip():
     sp = line_space([0, 1, 2, 9])
     _, cert = dk.res_greedy(sp, sp.all_points(), 2, k=2, eps=0.25)

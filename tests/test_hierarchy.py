@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from detkmed.harness import run_algorithm
 from detkmed.hierarchy import depth_for, harmonic, means_eps
 from detkmed.metric import leq
 from tests.conftest import line_space
+from tests.test_acceptance import QUERY_CONSTANT_FROZEN
 
 
 def test_depth_matches_ceiling_log():
@@ -188,58 +190,161 @@ def test_metrics_query_accounting():
     assert met.queries == sp.oracle.query_count - before
 
 
-def _digest(centers, cost, queries, certs):
-    h = hashlib.sha256(repr((tuple(int(c) for c in centers), float(cost).hex(),
-                             int(queries))).encode())
+def _digest(centers, cost, certs):
+    h = hashlib.sha256(repr((tuple(int(c) for c in centers), float(cost).hex())).encode())
     for cert in certs:
         h.update(cert.dumps().encode())
     return h.hexdigest()
 
 
-# sha256 of centers, cost.hex(), queries and every node certificate's dumps(),
-# in level order; pins pipeline outputs bit for bit across refactors
+# sha256 of centers, cost.hex() and every node certificate's dumps(), in level
+# order, pins pipeline outputs bit for bit across refactors; the query count
+# is its own exact column. The queries were re-recorded when Phase II began
+# asking each pair once (32,732 / 36,784 / 55,034 / 8,504 / 11,264 / 3,178,496
+# before), with every output digest unchanged.
 GOLDEN_PIPELINE = [
     ("uniform-points", 300, 0, {}, 4, "median",
-     "48debb928dd4fe04c24b6319d037bda6eb3409487f760ae39691cf0a0dddfea1"),
+     "1af0871cd5eaf979e4ca51e26d732ae3fc146ae5f08a2bdacbfa732615f77207", 13_152),
     ("uniform-points", 256, 1, {"norm": "l1", "unit_weights": False}, 6, "means",
-     "baf72a7302c8e8b6c661c86e31e6ffb5c86c1810e25307638fbeaf204c9a4e31"),
+     "7252cce49d3bfccb01b636df6382304afc2452329178e39948afa1fa67a518d1", 14_656),
     ("clustered-points", 400, 2, {"clusters": 8}, 5, "median",
-     "7093cdefbf391efcae860011d1370a9d43985f548ce97724ed7af6aa27ada57e"),
+     "9328a443189362365f16c3aa4b06b5a4bc73b47bb96aab6309a8960cf97f2e08", 22_286),
     ("random-matrix", 120, 3, {}, 3, "median",
-     "4f23db2aa08e66d530c9eb47bd9b78f118d6d2fbc5380a91a540962d15882e6b"),
+     "781b8153d24e17206ce3c023bf08fa673e790001d0bc25994d2409a3db40b3a3", 3_340),
     ("random-matrix", 90, 4, {"unit_weights": False}, 7, "means",
-     "71d8d92123d7f4a5ec723e23597596b16ea6e3c5a556892192796293618bec7a"),
+     "c7ed9e2b37e0aacc3a0e7c76b80a32e221b488d89ecf66ec788d77a2cf2c1973", 4_614),
     ("clustered-points", 2048, 5, {"clusters": 64, "spread": 0.02}, 64, "means",
-     "29f7d1bd156da72bec88f54791982f3dc96f634edf93e02d23a1eb160c7e40c8"),
+     "4e79fef8562519841903e62f24c17215dc4b9d1bf46c9ff9bfa4733129d209ea", 1_425_408),
 ]
 
 
-@pytest.mark.parametrize("gen,n,seed,params,k,objective,digest", GOLDEN_PIPELINE)
-def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest):
+@pytest.mark.parametrize("gen,n,seed,params,k,objective,digest,queries", GOLDEN_PIPELINE)
+def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest, queries):
     sp = dk.generators.make_instance(gen, n, seed=seed, **params)
     sol, met = dk.hierarchical_cluster(sp, k, objective)
     certs = [c for level in met.hierarchy.certificates for c in level if c is not None]
-    assert _digest(sol.centers, sol.cost, met.queries, certs) == digest
+    assert _digest(sol.centers, sol.cost, certs) == digest
+    assert met.queries == queries
 
 
-# registry outputs with k < n, the reverse-greedy certificate included; the
-# guha row was re-recorded when guha stopped pricing its composed mapping
-# (9,230 -> 9,030 queries, centers and cost unchanged)
+# registry outputs with k < n, the reverse-greedy certificate included
 GOLDEN_REGISTRY = [
     ("guha", "uniform-points", 200, 6, {}, 3, "median",
-     "2eac08746244554b3988fb150c55fa418c02b2c70e484b1ff9e97655d6f5679a"),
+     "94c4a7b0923e048bd522004f15791fc3e15138d0503b2cef3f97cf5ef184d5b7", 9_030),
     ("local-search", "clustered-points", 150, 7, {"clusters": 5}, 4, "means",
-     "5063e8599021802bb9f436b20f5119cbb2fd070732c7508ae0b250c2063c3d23"),
+     "eb57cd38f34d9ab74067e8db73a5515f94285c22031ca09b90a0db15e1a73e72", 110_700),
     ("reverse-greedy", "random-matrix", 60, 8, {}, 5, "median",
-     "aa1b0d7ed4059121288baaa412e7a730469757a84762ec3ab54a4ff889f7f219"),
+     "854a0f3ea5e481bc7fccb62c75f52d140be7d3050e686d01e69a08791975b785", 3_600),
     ("reverse-greedy", "uniform-points", 80, 9, {}, 6, "means",
-     "a651c4152c7aedeb38120edbb36c0196340fd5bba52049ffe0f29eabec62ca49"),
+     "c6865b56403ef79b8e6b0d64fc40b84d28111faa43c08f6e69825c5274be9988", 6_400),
 ]
 
 
-@pytest.mark.parametrize("algo,gen,n,seed,params,k,objective,digest", GOLDEN_REGISTRY)
-def test_golden_registry_digests(algo, gen, n, seed, params, k, objective, digest):
+@pytest.mark.parametrize("algo,gen,n,seed,params,k,objective,digest,queries", GOLDEN_REGISTRY)
+def test_golden_registry_digests(algo, gen, n, seed, params, k, objective, digest, queries):
     sp = dk.generators.make_instance(gen, n, seed=seed, **params)
     sol, rec, cert = run_algorithm(algo, sp, k, objective)
     certs = [] if cert is None else [cert]
-    assert _digest(sol.centers, sol.cost, rec.queries, certs) == digest
+    assert _digest(sol.centers, sol.cost, certs) == digest
+    assert rec.queries == queries
+
+
+class _Recording:
+    """Oracle mixin that keeps every requested (rows, cols) rectangle."""
+
+    def _pairwise(self, rows, cols):
+        self.requests.append((rows.copy(), cols.copy()))
+        return super()._pairwise(rows, cols)
+
+
+class _RecordingPoints(_Recording, dk.PointsOracle):
+    pass
+
+
+class _RecordingMatrix(_Recording, dk.MatrixOracle):
+    pass
+
+
+def _recorded(oracle, weights=None):
+    oracle.requests = []
+    return dk.WeightedMetricSpace(oracle, np.ones(oracle.n) if weights is None else weights)
+
+
+def _pipeline_requests(monkeypatch, sp, k, objective):
+    """Run hierarchical_cluster and return the requests made up to
+    extraction, those made inside sparsify, and the hierarchy."""
+    import detkmed.hierarchy as hierarchy
+
+    marks = {}
+
+    def wrap(name):
+        fn = getattr(hierarchy, name)
+
+        def wrapper(*args, **kwargs):
+            marks[name] = len(sp.oracle.requests)
+            out = fn(*args, **kwargs)
+            marks[name + "_end"] = len(sp.oracle.requests)
+            return out
+        monkeypatch.setattr(hierarchy, name, wrapper)
+
+    wrap("sparsify")
+    wrap("extract_k")
+    _, met = dk.hierarchical_cluster(sp, k, objective)
+    reqs = sp.oracle.requests
+    return reqs[:marks["extract_k"]], reqs[marks["sparsify"]:marks["sparsify_end"]], met.hierarchy
+
+
+@pytest.mark.parametrize("case", ["uniform-l2", "weighted-matrix", "empty-parts"])
+def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
+    rng = np.random.default_rng(31)
+    if case == "uniform-l2":
+        sp, k, objective = _recorded(_RecordingPoints(rng.uniform(size=(300, 2)))), 4, "median"
+    elif case == "weighted-matrix":
+        m = dk.generators.random_matrix(90, seed=4).oracle.pairwise(np.arange(90), np.arange(90))
+        sp, k, objective = _recorded(_RecordingMatrix(m), rng.uniform(0.5, 2.0, 90)), 7, "means"
+    else:
+        sp, k, objective = _recorded(_RecordingPoints(rng.uniform(size=(3, 2)))), 1, "median"
+    requests, in_sparsify, h = _pipeline_requests(monkeypatch, sp, k, objective)
+    assert in_sparsify == []
+    leaves = [part for part in h.parts[h.depth] if part.size]
+    if case == "empty-parts":
+        assert any(part.size == 0 for part in h.parts[h.depth])
+    seen = set()
+    duplicates = 0
+    for rows, cols in requests:
+        leaf = any(np.array_equal(rows, part) and np.array_equal(cols, part) for part in leaves)
+        pairs = {(min(x, y), max(x, y)) for x in rows.tolist() for y in cols.tolist() if x != y}
+        if not leaf:
+            duplicates += rows.size * cols.size - int((rows[:, None] == cols).sum()) - len(pairs)
+        duplicates += len(pairs & seen)
+        seen |= pairs
+    assert duplicates == 0
+
+
+def test_sparsify_without_the_root_block_sweeps_itself():
+    sp = dk.generators.uniform_points(40, seed=3)
+    h = dk.build_partitions(sp, 2)
+    v0 = dk.phase2(sp, h, 2)
+    before = sp.oracle.query_count
+    swept = dk.sparsify(sp, v0)
+    assert sp.oracle.query_count - before == sp.n * len(v0)
+    served = dk.sparsify(sp, v0, h.root_distances)
+    assert sp.oracle.query_count - before == sp.n * len(v0)
+    assert np.array_equal(swept.sigma, served.sigma)
+    assert np.array_equal(swept.weights, served.weights)
+
+
+def test_query_constant_at_n_over_k_8():
+    # the C07 envelope on an n/k = 8 cell, which C07's grid does not cover
+    sp = dk.generators.clustered_points(512, clusters=64)
+    _, met = dk.hierarchical_cluster(sp, 64, "means")
+    assert met.queries <= QUERY_CONSTANT_FROZEN * 512 * 64 * (math.log2(512 / 64) + 2)
+
+
+def test_pipeline_rejects_cost_overflow_before_any_query():
+    for coords, objective in (([[1e308], [-1e308], [0.0]], "median"),
+                              ([[1e200], [-1e200], [0.0]], "means")):
+        sp = dk.WeightedMetricSpace.from_points(coords)
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            dk.hierarchical_cluster(sp, 1, objective)
+        assert sp.oracle.query_count == 0
