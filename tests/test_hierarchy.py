@@ -190,31 +190,34 @@ def test_metrics_query_accounting():
     assert met.queries == sp.oracle.query_count - before
 
 
-def _digest(centers, cost, certs):
-    h = hashlib.sha256(repr((tuple(int(c) for c in centers), float(cost).hex())).encode())
+def _digest(centers, cost, queries, certs):
+    h = hashlib.sha256(repr((tuple(int(c) for c in centers), float(cost).hex(),
+                             int(queries))).encode())
     for cert in certs:
         h.update(cert.dumps().encode())
     return h.hexdigest()
 
 
-# sha256 of centers, cost.hex() and every node certificate's dumps(), in level
-# order, pins pipeline outputs bit for bit across refactors; the query count
-# is its own exact column. The queries were re-recorded when Phase II began
-# asking each pair once (32,732 / 36,784 / 55,034 / 8,504 / 11,264 / 3,178,496
-# before), with every output digest unchanged.
+# sha256 of centers, cost.hex(), queries and every node certificate's dumps(),
+# in level order, pins pipeline outputs bit for bit across refactors; the
+# query count is also its own exact column, checked first, so a change in
+# queries alone reads as a number. The queries (and so the digests) were
+# re-recorded when Phase II began asking each pair once (32,732 / 36,784 /
+# 55,034 / 8,504 / 11,264 / 3,178,496 before), with centers, cost and every
+# certificate unchanged.
 GOLDEN_PIPELINE = [
     ("uniform-points", 300, 0, {}, 4, "median",
-     "1af0871cd5eaf979e4ca51e26d732ae3fc146ae5f08a2bdacbfa732615f77207", 13_152),
+     "7cf3a4c05bf25df003c1f047cec21b63b16af6fba906a87b000a85bf4e855458", 13_152),
     ("uniform-points", 256, 1, {"norm": "l1", "unit_weights": False}, 6, "means",
-     "7252cce49d3bfccb01b636df6382304afc2452329178e39948afa1fa67a518d1", 14_656),
+     "95cb1bad861bf2c25e00123e072e1a055bfccf351760cf27245b47450657e3f4", 14_656),
     ("clustered-points", 400, 2, {"clusters": 8}, 5, "median",
-     "9328a443189362365f16c3aa4b06b5a4bc73b47bb96aab6309a8960cf97f2e08", 22_286),
+     "e02d5b143c75927f4caeac7cb027552abf94c66c4555041fb8a6f2ee5448874b", 22_286),
     ("random-matrix", 120, 3, {}, 3, "median",
-     "781b8153d24e17206ce3c023bf08fa673e790001d0bc25994d2409a3db40b3a3", 3_340),
+     "af36b4dcfd82562eac9b62cc6a19c1a6384090ebc23bd358add21ecbee04d2b4", 3_340),
     ("random-matrix", 90, 4, {"unit_weights": False}, 7, "means",
-     "c7ed9e2b37e0aacc3a0e7c76b80a32e221b488d89ecf66ec788d77a2cf2c1973", 4_614),
+     "a0478452f43676d9edfa64d98691e1df26df0ea73cc0717a481ad26aafa16021", 4_614),
     ("clustered-points", 2048, 5, {"clusters": 64, "spread": 0.02}, 64, "means",
-     "4e79fef8562519841903e62f24c17215dc4b9d1bf46c9ff9bfa4733129d209ea", 1_425_408),
+     "f632794853343137f523c2ce93989ab7accc3d044dd1e79e422b82d768889cf0", 1_425_408),
 ]
 
 
@@ -223,20 +226,20 @@ def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest, que
     sp = dk.generators.make_instance(gen, n, seed=seed, **params)
     sol, met = dk.hierarchical_cluster(sp, k, objective)
     certs = [c for level in met.hierarchy.certificates for c in level if c is not None]
-    assert _digest(sol.centers, sol.cost, certs) == digest
     assert met.queries == queries
+    assert _digest(sol.centers, sol.cost, met.queries, certs) == digest
 
 
 # registry outputs with k < n, the reverse-greedy certificate included
 GOLDEN_REGISTRY = [
     ("guha", "uniform-points", 200, 6, {}, 3, "median",
-     "94c4a7b0923e048bd522004f15791fc3e15138d0503b2cef3f97cf5ef184d5b7", 9_030),
+     "2eac08746244554b3988fb150c55fa418c02b2c70e484b1ff9e97655d6f5679a", 9_030),
     ("local-search", "clustered-points", 150, 7, {"clusters": 5}, 4, "means",
-     "eb57cd38f34d9ab74067e8db73a5515f94285c22031ca09b90a0db15e1a73e72", 110_700),
+     "5063e8599021802bb9f436b20f5119cbb2fd070732c7508ae0b250c2063c3d23", 110_700),
     ("reverse-greedy", "random-matrix", 60, 8, {}, 5, "median",
-     "854a0f3ea5e481bc7fccb62c75f52d140be7d3050e686d01e69a08791975b785", 3_600),
+     "aa1b0d7ed4059121288baaa412e7a730469757a84762ec3ab54a4ff889f7f219", 3_600),
     ("reverse-greedy", "uniform-points", 80, 9, {}, 6, "means",
-     "c6865b56403ef79b8e6b0d64fc40b84d28111faa43c08f6e69825c5274be9988", 6_400),
+     "a651c4152c7aedeb38120edbb36c0196340fd5bba52049ffe0f29eabec62ca49", 6_400),
 ]
 
 
@@ -245,8 +248,8 @@ def test_golden_registry_digests(algo, gen, n, seed, params, k, objective, diges
     sp = dk.generators.make_instance(gen, n, seed=seed, **params)
     sol, rec, cert = run_algorithm(algo, sp, k, objective)
     certs = [] if cert is None else [cert]
-    assert _digest(sol.centers, sol.cost, certs) == digest
     assert rec.queries == queries
+    assert _digest(sol.centers, sol.cost, rec.queries, certs) == digest
 
 
 class _Recording:
