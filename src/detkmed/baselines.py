@@ -63,10 +63,10 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
     current = obj.total(w, D.min(axis=1))
     rows = np.arange(U.size)
     while True:
-        order = np.argsort(D, axis=1, kind="stable")
-        d1 = D[rows, order[:, 0]]
-        d2 = D[rows, order[:, 1]] if k > 1 else np.full(U.size, np.inf)
-        nearest_col = order[:, 0]
+        # first minimum: ties go to the lower column
+        nearest_col = np.argmin(D, axis=1)
+        d1 = D[rows, nearest_col]
+        d2 = np.where(np.arange(k) == nearest_col[:, None], np.inf, D).min(axis=1)
         outside = U[~is_center]
         Dz = space.pairwise(U, outside)
         table = _swap_table(obj, w, d1, d2, nearest_col, k, Dz)
@@ -264,17 +264,20 @@ class SparsifierAudit:
 
 
 def audit_sparsifier(space: WeightedMetricSpace, sigma: np.ndarray, pi: dict | np.ndarray,
-                     k: int, objective: Objective | str = Objective.MEDIAN) -> SparsifierAudit:
+                     k: int, objective: Objective | str = Objective.MEDIAN,
+                     opt_full: float | None = None) -> SparsifierAudit:
     """Measure the (alpha, beta) ratios of a sparsifier mapping sigma and an
     inner solution pi, then assert the composed-cost bound
-    composition_factor(alpha, beta) * OPT_k. Brute-force sized instances only."""
+    composition_factor(alpha, beta) * OPT_k, brute-forced unless given as
+    `opt_full`. Brute-force sized instances only."""
     obj = as_objective(objective)
     sigma = np.asarray(sigma, dtype=np.int64)
     targets = np.unique(sigma)
     w_sparse = np.zeros(space.n)
     np.add.at(w_sparse, sigma, space.weights)
 
-    opt_full, _ = opt_bruteforce(space, k, objective=obj)
+    if opt_full is None:
+        opt_full, _ = opt_bruteforce(space, k, objective=obj)
     opt_sparse, _ = opt_bruteforce(space.with_weights(w_sparse), min(k, targets.size),
                                    universe=targets, candidates=targets, objective=obj)
     beta_cost = mapping_cost(space, sigma, space.all_points(), space.weights, obj)
@@ -322,9 +325,10 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
     obj = as_objective(objective)
     solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
     _, metrics = guha_hierarchical(space, k, delta, obj)
+    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj)
     composed = space.all_points()
     audits = []
     for level in reversed(metrics.hierarchy.levels):
-        audits.append(audit_sparsifier(space, composed, level.sigma, k, solver_obj))
+        audits.append(audit_sparsifier(space, composed, level.sigma, k, solver_obj, opt_full))
         composed = level.sigma[composed]
     return audits

@@ -6,15 +6,16 @@ universe, stopping once k' centers remain. Cost is measured against the whole
 universe even though centers are confined to X, which is what makes the
 routine usable as a restricted solver inside the hierarchical pipeline.
 
-The implementation keeps, for every point, its candidate list pre-sorted by
-(distance, center id) and walks two cursors (nearest and second nearest alive
-center) forward past removed entries. Cursor advances are amortized over the
-run and each iteration costs O(n) on top of them. All distances come from
-one |U| x |X| matrix fixed at initialization: the caller may hand it in
-(the pipeline assembles each node's matrix from its children's blocks),
-otherwise it is requested once. `res_greedy` is the only run loop. A
-candidate set already no larger than k' goes through it as a zero-step run,
-so a whole-space call requests |U| x |X| once and nothing more.
+The state keeps, for every point, its nearest and second-nearest alive
+center under the (distance, center id) order and never sorts: a removal
+promotes the second nearest where the nearest was removed and finds the next
+one with a masked argmin, so each iteration is O(|U|) array work plus O(|X|)
+per affected row. All distances come from one |U| x |X| matrix fixed at
+initialization: the caller may hand it in (the pipeline assembles each
+node's matrix from its children's blocks), otherwise it is requested once.
+`res_greedy` is the only run loop. A candidate set already no larger than k'
+goes through it as a zero-step run, so a whole-space call requests
+|U| x |X| once and nothing more.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import _SCAN_CHUNK
 from .metric import (
     MetricInputError,
     Objective,
@@ -97,17 +99,17 @@ class BoundCertificate:
 class GreedyState:
     """Live reverse-greedy structures over (universe, candidates).
 
-    Exposes the per-point candidate lists, the clusters induced by nearest
-    alive centers, and the exact removal deltas change(y) = cost(S-y) - cost(S),
-    recomputed from the structures at every step. `distances`, when given, is
-    the |U| x |X| matrix (rows in universe order, candidates ascending) and
-    no query is made; otherwise that matrix is requested.
+    Per universe row: the slots s1, s2 of the nearest and second-nearest
+    alive candidate under the (distance, candidate id) order, and their
+    distances d1, d2. The clusters, the cost and the exact removal deltas
+    change(y) = cost(S-y) - cost(S) are read from these. `distances`, when
+    given, is the |U| x |X| matrix (rows in universe order, candidates
+    ascending) and no query is made; otherwise that matrix is requested.
     """
 
     def __init__(self, space: WeightedMetricSpace, candidates, universe=None,
                  objective: Objective | str = Objective.MEDIAN, distances=None):
         self.objective = _greedy_objective(as_objective(objective))
-        self.space = space
         U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
         cand = _index_array(candidates, space.n, "candidates")
         if distances is None:
@@ -120,14 +122,35 @@ class GreedyState:
         self.cand = cand
         self.w = space.weights[U]
         self._D = distances
-        # ties within a list follow candidate id because columns are id-sorted
-        self._order = np.argsort(self._D, axis=1, kind="stable")
-        m = cand.size
-        self.alive = np.ones(m, dtype=bool)
-        self._alive_count = m
-        self._rows = np.arange(U.size)
-        self._pos1 = np.zeros(U.size, dtype=np.int64)
-        self._pos2 = np.full(U.size, 1 if m > 1 else m, dtype=np.int64)
+        self.alive = np.ones(cand.size, dtype=bool)
+        self._alive_count = cand.size
+        # argmin takes the first minimum and columns are id-ascending, so ties
+        # go to the smaller candidate id
+        self._s1 = np.argmin(distances, axis=1)
+        self._d1 = distances[np.arange(U.size), self._s1]
+        self._s2 = self._d2 = None  # found by the first step; zero-step runs never read them
+
+    def _refresh_second(self, rows: np.ndarray) -> None:
+        """s2/d2 of `rows`: first-minimum argmin with s1 and dead slots masked
+        to +inf, in chunks of _SCAN_CHUNK elements. Where that minimum is +inf
+        (overflowed distances) s2 is the first other alive slot, if any, else m."""
+        m = self.cand.size
+        dead = ~self.alive
+        step = max(1, _SCAN_CHUNK // m)
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            at = np.arange(r.size)
+            block = self._D[r]
+            block[:, dead] = np.inf
+            block[at, self._s1[r]] = np.inf
+            s2 = np.argmin(block, axis=1)
+            d2 = block[at, s2]
+            far = np.nonzero(d2 == np.inf)[0]
+            if far.size:
+                other = self.alive & (np.arange(m) != self._s1[r[far], None])
+                s2[far] = np.where(other.any(axis=1), other.argmax(axis=1), m)
+            self._s2[r] = s2
+            self._d2[r] = d2
 
     @property
     def size(self) -> int:
@@ -136,24 +159,12 @@ class GreedyState:
     def centers(self) -> list[int]:
         return [int(c) for c in self.cand[self.alive]]
 
-    def _slot1(self) -> np.ndarray:
-        return self._order[self._rows, self._pos1]
-
-    def _slot2(self) -> np.ndarray:
-        return self._order[self._rows, self._pos2]
-
     def nearest(self) -> tuple[np.ndarray, np.ndarray]:
         """(center id, distance) of each universe point's nearest alive center."""
-        s1 = self._slot1()
-        return self.cand[s1], self._D[self._rows, s1]
-
-    def assignment_solution(self) -> Solution:
-        ids, d = self.nearest()
-        return Solution(tuple(self.centers()), ids, self.objective.total(self.w, d),
-                        self.objective, self.universe)
+        return self.cand[self._s1], self._d1.copy()
 
     def current_cost(self) -> float:
-        return self.objective.total(self.w, self._D[self._rows, self._slot1()])
+        return self.objective.total(self.w, self._d1)
 
     def clusters(self) -> dict[int, np.ndarray]:
         """C_S(y): universe points whose nearest alive center is y."""
@@ -165,34 +176,25 @@ class GreedyState:
 
     def neighbor_list(self, x_row: int) -> list[tuple[int, float]]:
         """Alive candidates for universe row x, sorted as the live list L_x."""
-        out = []
-        for slot in self._order[x_row]:
-            if self.alive[slot]:
-                out.append((int(self.cand[slot]), float(self._D[x_row, slot])))
-        return out
+        return sorted(((int(self.cand[s]), float(self._D[x_row, s]))
+                       for s in np.nonzero(self.alive)[0]),
+                      key=lambda pair: (pair[1], pair[0]))
 
     def _change_by_slot(self) -> np.ndarray:
         if self._alive_count < 2:
             raise MetricInputError("cannot empty solution")
-        s1 = self._slot1()
-        d1 = self._D[self._rows, s1]
-        d2 = self._D[self._rows, self._slot2()]
-        contrib = self.w * (self.objective.point_cost(d2) - self.objective.point_cost(d1))
-        change = np.zeros(self.cand.size)
-        np.add.at(change, s1, contrib)
-        return change
+        if self._s2 is None:
+            self._s2, self._d2 = np.empty_like(self._s1), np.empty_like(self._d1)
+            self._refresh_second(np.arange(self.universe.size))
+        pc = self.objective.point_cost
+        # bincount sums each slot's rows in row order
+        return np.bincount(self._s1, weights=self.w * (pc(self._d2) - pc(self._d1)),
+                           minlength=self.cand.size)
 
     def removal_deltas(self) -> dict[int, float]:
         """change(y) = cost(S - y) - cost(S) for every alive center y."""
         change = self._change_by_slot()
         return {int(self.cand[s]): float(change[s]) for s in np.nonzero(self.alive)[0]}
-
-    def _advance(self, row: int, p: int) -> int:
-        order_row = self._order[row]
-        m = order_row.size
-        while p < m and not self.alive[order_row[p]]:
-            p += 1
-        return p
 
     def step(self) -> tuple[int, float]:
         """Remove argmin change(y) (ties to the smallest center id); returns
@@ -202,14 +204,10 @@ class GreedyState:
         y_slot = int(np.argmin(masked))
         self.alive[y_slot] = False
         self._alive_count -= 1
-        s1 = self._slot1()
-        s2 = self._slot2()
-        affected = np.nonzero((s1 == y_slot) | (s2 == y_slot))[0]
-        for row in affected:
-            r = int(row)
-            if s1[r] == y_slot:
-                self._pos1[r] = self._pos2[r]
-            self._pos2[r] = self._advance(r, int(self._pos2[r]) + 1)
+        promoted = self._s1 == y_slot
+        self._s1[promoted] = self._s2[promoted]
+        self._d1[promoted] = self._d2[promoted]
+        self._refresh_second(np.nonzero(promoted | (self._s2 == y_slot))[0])
         return int(self.cand[y_slot]), self.current_cost()
 
 
@@ -237,7 +235,8 @@ def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
         cert.steps.append(RemovalStep(removed, size_before, current, after))
         current = after
     cert.final_cost = current
-    return state.assignment_solution(), cert
+    ids, _ = state.nearest()
+    return Solution(tuple(state.centers()), ids, current, state.objective, state.universe), cert
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,

@@ -292,12 +292,9 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     obj = as_objective(objective)
     solution, metrics = hierarchical_cluster(space, k, obj)
     hierarchy, sparsified = metrics.hierarchy, metrics.sparsified
+    opt, _ = opt_bruteforce(space, k, objective=obj)
     if obj is Objective.MEDIAN:
-        # the extraction audit brute-forces OPT_k(V) itself; it is read from there
-        extraction = audit_sparsifier(space, sparsified.sigma, solution.assignment, k, obj)
-        opt = extraction.opt_full
-    else:
-        opt, _ = opt_bruteforce(space, k, objective=obj)
+        extraction = audit_sparsifier(space, sparsified.sigma, solution.assignment, k, obj, opt)
     v0 = hierarchy.centers[0][0]
     v0_cost = cost(space, v0, objective=obj)
     merge_c = 2.0 * harmonic(k, 3 * k)

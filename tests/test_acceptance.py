@@ -286,6 +286,23 @@ def test_c09_guha_structure_and_sparsifier():
             time.time() - t0, 180)
 
 
+def test_c09_recursion_audit_brute_forces_opt_once(monkeypatch):
+    import detkmed.baselines as baselines
+
+    full_space_calls = []
+
+    def counting(space, k, universe=None, **kwargs):
+        if universe is None:
+            full_space_calls.append(k)
+        return dk.opt_bruteforce(space, k, universe=universe, **kwargs)
+
+    monkeypatch.setattr(baselines, "opt_bruteforce", counting)
+    for s, sp in enumerate(_corpus(12, max_n=12, min_n=8, seed0=9000)):
+        full_space_calls.clear()
+        levels = baselines.audit_guha_recursion(sp, 1 + s % 2, 2.0)
+        assert len(levels) >= 1 and full_space_calls == [1 + s % 2]
+
+
 def test_c10_determinism():
     t0 = time.time()
     sp_seed = 77

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import detkmed as dk
-from detkmed.greedy import GreedyState
+from detkmed.greedy import GreedyState, RemovalStep
 from detkmed.metric import leq
 from tests.conftest import line_space
 
@@ -239,3 +239,135 @@ def test_removal_sum_bounded_by_nested_cost_gap(tiny_spaces):
             rest = [c for c in b if c != y]
             total += dk.cost(sp, rest) - cost_b
         assert leq(total, cost_a - cost_b)
+
+
+class _ReferenceGreedyState:
+    """The sorted-cursor state the masked-argmin GreedyState replaced: each
+    row's candidates stable-sorted by (distance, id) and two cursors, nearest
+    and second-nearest alive, walked forward past removed slots."""
+
+    def __init__(self, space, candidates, universe, objective):
+        self.objective = dk.Objective(objective)
+        self.universe = space.all_points() if universe is None else np.asarray(universe)
+        self.cand = np.unique(candidates)
+        self.w = space.weights[self.universe]
+        self._D = space.pairwise(self.universe, self.cand)
+        self._order = np.argsort(self._D, axis=1, kind="stable")
+        m = self.cand.size
+        self.alive = np.ones(m, dtype=bool)
+        self.size = m
+        self._rows = np.arange(self.universe.size)
+        self._pos1 = np.zeros(self.universe.size, dtype=np.int64)
+        self._pos2 = np.full(self.universe.size, 1 if m > 1 else m, dtype=np.int64)
+
+    def centers(self):
+        return [int(c) for c in self.cand[self.alive]]
+
+    def _slot(self, pos):
+        return self._order[self._rows, pos]
+
+    def nearest(self):
+        s1 = self._slot(self._pos1)
+        return self.cand[s1], self._D[self._rows, s1]
+
+    def current_cost(self):
+        return self.objective.total(self.w, self._D[self._rows, self._slot(self._pos1)])
+
+    def step(self):
+        s1 = self._slot(self._pos1)
+        d1 = self._D[self._rows, s1]
+        d2 = self._D[self._rows, self._slot(self._pos2)]
+        change = np.zeros(self.cand.size)
+        np.add.at(change, s1, self.w * (self.objective.point_cost(d2)
+                                        - self.objective.point_cost(d1)))
+        y_slot = int(np.argmin(np.where(self.alive, change, np.inf)))
+        self.alive[y_slot] = False
+        self.size -= 1
+        s2 = self._slot(self._pos2)
+        for r in np.nonzero((s1 == y_slot) | (s2 == y_slot))[0]:
+            if s1[r] == y_slot:
+                self._pos1[r] = self._pos2[r]
+            p = self._pos2[r] + 1
+            while p < self.cand.size and not self.alive[self._order[r, p]]:
+                p += 1
+            self._pos2[r] = p
+        return int(self.cand[y_slot]), self.current_cost()
+
+
+def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, k=None, eps=None):
+    state = _ReferenceGreedyState(space, candidates, universe, objective)
+    current = state.current_cost()
+    cert = dk.BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
+                               universe_size=state.universe.size, objective=state.objective,
+                               steps=[], initial_cost=current, final_cost=None, k=k, eps=eps)
+    while state.size > k_prime:
+        size_before = state.size
+        removed, after = state.step()
+        cert.steps.append(RemovalStep(removed, size_before, current, after))
+        current = after
+    cert.final_cost = current
+    ids, d = state.nearest()
+    return tuple(state.centers()), ids, state.objective.total(state.w, d), cert
+
+
+def _grid_l1_matrix(n, seed, scale):
+    pts = np.random.default_rng(seed).integers(0, 3, size=(n, 3))
+    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) * scale
+
+
+def _tie_corpus():
+    spaces = []
+    for s in range(6):
+        n = 6 + 2 * s
+        weights = np.random.default_rng(50 + s).integers(1, 4, size=n).astype(float)
+        for scale in (1.0, 0.1):
+            spaces.append(dk.WeightedMetricSpace.from_matrix(_grid_l1_matrix(n, s, scale)))
+            spaces.append(dk.WeightedMetricSpace.from_matrix(_grid_l1_matrix(n, s, scale),
+                                                             weights))
+    for n in (3, 6):
+        spaces.append(dk.WeightedMetricSpace.from_matrix(np.ones((n, n)) - np.eye(n)))
+        spaces.append(dk.WeightedMetricSpace.from_matrix(np.zeros((n, n))))
+    for s in range(3):
+        spaces.append(dk.generators.clustered_points(12 + 4 * s, clusters=3, spread=0.02 * s,
+                                                     seed=s, unit_weights=False))
+    return spaces
+
+
+def test_masked_argmin_state_matches_sorted_cursors():
+    runs = 0
+    for sp in _tie_corpus():
+        half = sp.all_points()[::2]
+        for obj in ("median", "means"):
+            for cand, universe in ((sp.all_points(), None), (half, None),
+                                     (sp.all_points()[1::2], half)):
+                for k_prime in range(1, cand.size):
+                    sol, cert = dk.res_greedy(sp, cand, k_prime, objective=obj,
+                                              universe=universe, k=k_prime, eps=0.5)
+                    centers, ids, cost, ref_cert = _reference_res_greedy(
+                        sp, cand, k_prime, obj, universe=universe, k=k_prime, eps=0.5)
+                    assert cert.dumps() == ref_cert.dumps()
+                    assert sol.centers == centers
+                    assert sol.cost.hex() == cost.hex()
+                    assert np.array_equal(sol.assignment, ids)
+                    runs += 1
+    assert runs > 1000
+
+
+def test_overflowing_distances_follow_sorted_cursors():
+    # 2e308 overflows to inf, so each half's other candidates lie at +inf
+    pts = np.array([[1e308], [9.9e307], [9.8e307], [-1e308], [-9.9e307], [-9.8e307]])
+    sp = dk.WeightedMetricSpace.from_points(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = GreedyState(sp, sp.all_points())
+        ref = _ReferenceGreedyState(sp, sp.all_points(), None, "median")
+        while state.size > 1:
+            outcomes = []
+            for s in (state, ref):
+                try:
+                    outcomes.append(s.step())
+                except dk.MetricInputError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            assert state.centers() == ref.centers()
+            for a, b in zip(state.nearest(), ref.nearest()):
+                assert np.array_equal(a, b)
