@@ -104,11 +104,8 @@ class AdversarySession:
         self._adj.append(dict.fromkeys(range(n), L))
         self._deg = array("i", [1]) * size
         self._deg[self.gate] = n
-        self._edges = n
         self.status = bytearray([1]) * size
         self.status[self.gate] = 0
-        self.open_count = n
-        self._open_unit = array("i", bytes(4 * size))
         self._unit_cursor = array("i", bytes(4 * size))
         self._unit_nbrs = [array("i") for _ in range(size)]
         self._qx = array("i")
@@ -124,20 +121,13 @@ class AdversarySession:
     def _push_edge(self, u: int, v: int, w: float) -> None:
         # a repeated push is always a weight-1 virtual edge between two open
         # vertices: the maps keep one entry, the degree counts both pushes
-        au = self._adj[u]
-        if v not in au:
-            self._edges += 1
-        au[v] = w
+        self._adj[u][v] = w
         self._adj[v][u] = w
         self._deg[u] += 1
         self._deg[v] += 1
         if w == 1.0:
             self._unit_nbrs[u].append(v)
             self._unit_nbrs[v].append(u)
-            if self.status[u]:
-                self._open_unit[v] += 1
-            if self.status[v]:
-                self._open_unit[u] += 1
 
     def degree(self, v: int) -> int:
         """Edge pushes at v, repeated virtual edges included; v closes once
@@ -156,15 +146,9 @@ class AdversarySession:
                     yield u, v, w
 
     def _close_if_due(self, v: int) -> None:
-        if v == self.gate or not self.status[v]:
-            return
-        if self._deg[v] < self.M:
-            return
-        self.status[v] = 0
-        self.open_count -= 1
-        open_unit = self._open_unit
-        for u in self._unit_nbrs[v]:
-            open_unit[u] -= 1
+        # closing twice is harmless, and the gate is never open
+        if self._deg[v] >= self.M:
+            self.status[v] = 0
 
     def _find_open_unit_nbr(self, v: int, skip: int = -1) -> int:
         """Some open vertex joined to v by a weight-1 edge, or -1.
@@ -172,10 +156,9 @@ class AdversarySession:
         Round-robins over v's unit neighbors so that, when this neighbor is
         materialized into a virtual edge over and over (a closed hub gets
         queried against many fresh points), the added degree spreads out
-        instead of closing one companion after another.
+        instead of closing one companion after another. A miss leaves the
+        cursor where it was.
         """
-        if self._open_unit[v] == 0:
-            return -1
         lst = self._unit_nbrs[v]
         m = len(lst)
         i = self._unit_cursor[v]
@@ -389,10 +372,11 @@ class AdversarySession:
                 np.asarray(self._qa, dtype=np.float64))
 
     def closed_points(self) -> int:
-        return self.n - self.open_count
+        return self.n - sum(self.status[: self.n])
 
     def edge_count(self) -> int:
-        return self._edges
+        """Materialized edges, gate star included; each sits in two maps."""
+        return sum(map(len, self._adj)) // 2
 
 
 class FinalMetric:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import (
+    _SCAN_CHUNK,
     MetricInputError,
     Objective,
     Solution,
@@ -100,12 +101,6 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
         D[:, col] = Dz[:, zi]
         current = improved
     return build_solution(space, sorted(centers), obj, universe=U)
-
-
-# Elements per temporary in the swap-table scan (2 MB of float64): bounds its
-# working memory when the universe is the whole space and keeps the chunk's
-# passes in cache.
-_SCAN_CHUNK = 1 << 18
 
 
 def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,

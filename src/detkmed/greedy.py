@@ -21,12 +21,13 @@ goes through it as a zero-step run, so a whole-space call requests
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import _SCAN_CHUNK
 from .metric import (
+    _SCAN_CHUNK,
     MetricInputError,
     Objective,
     Solution,
@@ -36,6 +37,11 @@ from .metric import (
     check_k,
     leq,
 )
+
+
+def means_eps(n: int, k: int) -> float:
+    """Epsilon of the means-mode removal bounds: 1/(1 + log2(n/k))."""
+    return 1.0 / (1.0 + math.log2(max(1.0, n / k)))
 
 
 def _greedy_objective(obj: Objective) -> Objective:
@@ -132,11 +138,11 @@ class GreedyState:
 
     def _refresh_second(self, rows: np.ndarray) -> None:
         """s2/d2 of `rows`: first-minimum argmin with s1 and dead slots masked
-        to +inf, in chunks of _SCAN_CHUNK elements. Where that minimum is +inf
-        (overflowed distances) s2 is the first other alive slot, if any, else m."""
-        m = self.cand.size
+        to +inf, in chunks of _SCAN_CHUNK elements. Every distance is finite
+        (the oracles reject inputs whose distances overflow), so the minimum
+        is +inf only once a single center is left, and then s2 is never read."""
         dead = ~self.alive
-        step = max(1, _SCAN_CHUNK // m)
+        step = max(1, _SCAN_CHUNK // self.cand.size)
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
             at = np.arange(r.size)
@@ -144,13 +150,8 @@ class GreedyState:
             block[:, dead] = np.inf
             block[at, self._s1[r]] = np.inf
             s2 = np.argmin(block, axis=1)
-            d2 = block[at, s2]
-            far = np.nonzero(d2 == np.inf)[0]
-            if far.size:
-                other = self.alive & (np.arange(m) != self._s1[r[far], None])
-                s2[far] = np.where(other.any(axis=1), other.argmax(axis=1), m)
             self._s2[r] = s2
-            self._d2[r] = d2
+            self._d2[r] = block[at, s2]
 
     @property
     def size(self) -> int:
@@ -213,18 +214,19 @@ class GreedyState:
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
                objective: Objective | str = Objective.MEDIAN, universe=None,
-               k: int | None = None, eps: float | None = None,
-               distances=None) -> tuple[Solution, BoundCertificate]:
+               k: int | None = None, distances=None) -> tuple[Solution, BoundCertificate]:
     """Res-Greedy_{k'}: reverse greedy from S = X down to k' centers.
 
     Returns the solution (assignment over the universe) and the removal-trace
     certificate. When |X| <= k' the run takes no step: X comes back unchanged
     with an empty trace, and its certificate still carries the cost of X.
+    Given k, a means certificate records eps = means_eps(space.n, k).
     `distances` is passed to GreedyState: given, the run makes no query.
     """
     k_prime = check_k(k_prime, name="k_prime")
     state = GreedyState(space, candidates, universe=universe, objective=objective,
                         distances=distances)
+    eps = means_eps(space.n, k) if k is not None and state.objective is Objective.MEANS else None
     current = state.current_cost()
     cert = BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
                             universe_size=state.universe.size, objective=state.objective,

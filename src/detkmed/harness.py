@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import guha_hierarchical, local_search_kmedian
 from .generators import make_instance
 from .greedy import BoundCertificate, res_greedy
-from .hierarchy import hierarchical_cluster, means_eps
+from .hierarchy import hierarchical_cluster
 from .metric import (
     EnumerationBudgetError,
     MetricInputError,
@@ -52,8 +52,7 @@ class RunRecord:
 
 def _reverse_greedy(space, k, obj, delta):
     k = check_k(k, space.n)
-    eps = means_eps(space.n, k) if obj is Objective.MEANS else None
-    return res_greedy(space, space.all_points(), k, obj, k=k, eps=eps)
+    return res_greedy(space, space.all_points(), k, obj, k=k)
 
 
 # name -> (space, k, objective, delta) -> (Solution, removal certificate or

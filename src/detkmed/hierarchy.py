@@ -45,11 +45,6 @@ def depth_for(n: int, k: int) -> int:
     return ell
 
 
-def means_eps(n: int, k: int) -> float:
-    """Epsilon used by the means-mode bound audits: 1/(1 + log2(n/k))."""
-    return 1.0 / (1.0 + math.log2(max(1.0, n / k)))
-
-
 @dataclass
 class PartitionHierarchy:
     """Levels Q_0..Q_ell of the binary refinement tree. Children of part j at
@@ -62,8 +57,6 @@ class PartitionHierarchy:
     parts: list[list[np.ndarray]]
     centers: list[list[list[int]]] | None = None
     certificates: list[list[BoundCertificate | None]] | None = None
-    # V x V_0 (points in order, centers ascending), left by phase2 for sparsify
-    root_distances: np.ndarray | None = None
 
     def structure_violations(self) -> list[str]:
         out = []
@@ -135,13 +128,12 @@ def _cross_block(space: WeightedMetricSpace, a: np.ndarray, b: np.ndarray,
 
 
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
-           objective: Objective | str = Objective.MEDIAN) -> list[int]:
-    """Phase II. Fills hierarchy.centers / certificates / root_distances and
-    returns V_0. Each leaf asks its X x X square; each internal node builds
-    its matrix with _cross_block, and a child's block is dropped once its
-    parent has used it."""
+           objective: Objective | str = Objective.MEDIAN) -> tuple[list[int], np.ndarray]:
+    """Phase II. Fills hierarchy.centers / certificates and returns V_0 with
+    the V x V_0 block that sparsify reads (centers ascending). Each leaf asks
+    its X x X square; each internal node builds its matrix with _cross_block,
+    and a child's block is dropped once its parent has used it."""
     obj = as_objective(objective)
-    eps = means_eps(space.n, k) if obj is Objective.MEANS else None
     depth = hierarchy.depth
     hierarchy.centers = [[[] for _ in level] for level in hierarchy.parts]
     hierarchy.certificates = [[None for _ in level] for level in hierarchy.parts]
@@ -158,13 +150,12 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
                 restriction, D = _cross_block(space, a, b, below[2 * j], below[2 * j + 1])
                 below[2 * j] = below[2 * j + 1] = None
             solution, hierarchy.certificates[i][j] = res_greedy(
-                space, restriction, 2 * k, obj, part, k=k, eps=eps, distances=D)
+                space, restriction, 2 * k, obj, part, k=k, distances=D)
             hierarchy.centers[i][j] = list(solution.centers)
             kept = np.searchsorted(restriction, solution.centers)
             level[j] = restriction[kept], D[:, kept]
         below = level
-    hierarchy.root_distances = below[0][1]
-    return hierarchy.centers[0][0]
+    return hierarchy.centers[0][0], below[0][1]
 
 
 @dataclass
@@ -231,9 +222,8 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     hierarchy = build_partitions(space, k)
     if space.oracle.query_count != q0:
         raise RuntimeError("Phase I must not query the oracle")
-    v0 = phase2(space, hierarchy, k, obj)
-    sparsified = sparsify(space, v0, hierarchy.root_distances)
-    hierarchy.root_distances = None
+    v0, root_block = phase2(space, hierarchy, k, obj)
+    sparsified = sparsify(space, v0, root_block)
     solution = extract_k(sparsified, k, obj)
     return solution, PipelineMetrics(queries=space.oracle.query_count - q0,
                                      hierarchy=hierarchy, sparsified=sparsified)
@@ -307,7 +297,6 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
 
     leaf_total = 0.0
     slack_total = 0.0
-    eps = means_eps(space.n, k)
     for i, level in enumerate(hierarchy.parts):
         for j, part in enumerate(level):
             if part.size == 0:
@@ -337,7 +326,7 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
                     audit.violations.append(
                         f"node ({i},{j}): cost(S_X, X) = {cost_sx!r} exceeds {bound!r}")
             if cert is not None and cert.steps:
-                step_audit = audit_certificate(cert, opt_x, k=k, eps=eps)
+                step_audit = audit_certificate(cert, opt_x, k=k)
                 if not step_audit.passed:
                     audit.violations.extend(
                         f"node ({i},{j}): {v}" for v in step_audit.violations)

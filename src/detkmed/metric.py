@@ -18,6 +18,11 @@ import numpy as np
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
+# Elements per temporary (2 MB of float64) in the chunked scans of the swap
+# table and reverse greedy's second-nearest refresh: bounds their working
+# memory on whole-space universes and keeps each chunk's passes in cache.
+_SCAN_CHUNK = 1 << 18
+
 
 def leq(a: float, b: float) -> bool:
     """a <= b up to the global tolerance."""
@@ -167,6 +172,9 @@ class PointsOracle(DistanceOracle):
         super().__init__(points.shape[0])
         self._p = points
         self.norm = norm
+        if not math.isfinite(self.diameter_bound()):
+            # no pair distance exceeds the bound, so every distance is finite
+            raise MetricInputError("bounding-box diagonal overflows float64")
 
     @property
     def points(self) -> np.ndarray:
@@ -174,10 +182,12 @@ class PointsOracle(DistanceOracle):
 
     def diameter_bound(self) -> float:
         """No distance exceeds this: the bounding box's diagonal in the
-        kernel's own arithmetic, inf where a span or (l2) its square
+        kernel's own arithmetic; the constructor rejects a point set where it
         overflows. Makes no query and raises no warning."""
+        # one contiguous row per coordinate: axis 0 of a thin n x dim array reduces ~10x slower
+        cols = np.ascontiguousarray(self._p.T)
         with np.errstate(over="ignore"):
-            span = self._p.max(axis=0) - self._p.min(axis=0)
+            span = cols.max(axis=1) - cols.min(axis=1)
             return float(span.sum() if self.norm == "l1" else np.sqrt((span * span).sum()))
 
     def _pairwise(self, rows, cols):

@@ -98,9 +98,8 @@ def test_c02_res_greedy_per_step_bounds():
         rep = dk.audit_certificate(cert, opt_med)
         violations.extend(rep.violations)
         opt_mea, _ = dk.opt_bruteforce(sp, k, objective="means")
-        _, cert2 = dk.res_greedy(sp, sp.all_points(), k_prime, objective="means",
-                                 k=k, eps=0.1)
-        rep2 = dk.audit_certificate(cert2, opt_mea)
+        _, cert2 = dk.res_greedy(sp, sp.all_points(), k_prime, objective="means", k=k)
+        rep2 = dk.audit_certificate(cert2, opt_mea, eps=0.1)
         violations.extend(rep2.violations)
     _report("C02 removal-step bounds", instances >= 200 and not violations,
             f"{instances} instances, {len(violations)} violations",

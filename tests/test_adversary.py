@@ -363,6 +363,26 @@ def test_golden_transcripts(algo, n, k, objective, digest, edges, closed, cost):
     assert result.audit.passed, result.audit.violations
 
 
+# Recorded while the session still tallied each vertex's open unit
+# neighbors. Local search through the adversary is the one tier-1 run that
+# finds no open unit neighbor to anchor a virtual edge at (2,256 of its 2,303
+# searches at n = 200; no hierarchical run ever does), so it pins that miss.
+# The run spends 79,600 queries against an allowance of 400, so its audit's
+# only verdict is the unmet premise.
+def test_golden_local_search_transcript():
+    result = run_against(adversary_algorithm("local-search"), 200, 2, 1.0, "median")
+    qx, qy, qa = result.session.transcript()
+    assert hashlib.sha256(qx.tobytes() + qy.tobytes() + qa.tobytes()).hexdigest() == (
+        "bc863fc89daf72ac2fe3779b61126828c712217cbe5c7e570f2e5f7b72404051")
+    assert result.session.edge_count() == 20100
+    assert result.session.closed_points() == 200
+    assert result.audit.solution_cost.hex() == "0x1.e800000000000p+7"
+    assert result.audit.algo_queries == 79600
+    assert len(result.audit.violations) == 1
+    assert result.audit.violations[0].startswith(
+        "premise not met: 79600 queries exceed the n·k·δ allowance 400.0")
+
+
 def test_two_hop_matches_brute_force_in_scan_regime():
     n = 1024
     sess = AdversarySession(n, 1, 1.0)

