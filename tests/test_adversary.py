@@ -10,7 +10,7 @@ import pytest
 import detkmed as dk
 from detkmed.adversary import AdversarySession, AdversaryOracle, run_against
 from detkmed.cli import main
-from detkmed.harness import adversary_algorithm, run_algorithm
+from detkmed.harness import adversary_algorithm, adversary_report_dict, run_algorithm
 from detkmed.metric import Objective
 
 
@@ -332,28 +332,39 @@ def test_means_mode_uses_squared_threshold():
 # repeat answers fewer (10,827 -> 10,530), edges, closures and cost unchanged.
 # The hierarchical rows were re-recorded when Phase II began asking each pair
 # once (algorithm queries 74,252 -> 32,522 at n = 1030 and 360,468 -> 163,872
-# at n = 4096), edges, closures and cost unchanged.
+# at n = 4096), edges, closures and cost unchanged. The last column, added
+# later, is the sha256 of the whole JSON report (audit verdicts included).
 GOLDEN = [
     ("hierarchical", 1030, 2, "means",
      "76d8df6674da648fc9656ccf90e7f7653bcb896e7057c36d5b86d6aae9631229",
-     31470, 0, "0x1.0100000000000p+10"),
+     31470, 0, "0x1.0100000000000p+10",
+     "5123d15e41f597821623051e36552bd2dab20af43a7c312212e4e493e3e367f4"),
     ("hierarchical", 1030, 2, "median",
      "c7a10b220d8df8e94eceec4c5ba42183cea84647c87edc4d9b6caef45069842d",
-     33913, 32, "0x1.a0791b9d53129p+10"),
+     33913, 32, "0x1.a0791b9d53129p+10",
+     "cfa3a8056175ec6df81cc62bb1bb403a3100c905175720302bd2ef7f8e33995d"),
     ("hierarchical", 4096, 2, "median",
      "57861f5b2dbd45deeeaea41aae78126ab4146feb909e767b996e4a8cc2df4151",
-     185936, 128, "0x1.e8e0000000000p+12"),
+     185936, 128, "0x1.e8e0000000000p+12",
+     "ba4d947ce030531e1c7a75c026b70d3513394ff15528181ac17b45ee65f817db"),
     ("guha", 300, 3, "means",
      "ebd759b41fc5db4cf7a783dcbe7bb4574e6270ac7ff430efdeb1ba556bcc651b",
-     2796, 0, "0x1.2900000000000p+8"),
+     2796, 0, "0x1.2900000000000p+8",
+     "c6bade7259a63f52d55a700c21f671427bccb1c4740105231687d49aa853b23b"),
     ("reverse-greedy", 300, 3, "means",
      "2320793afad4260973c1d6f669ad924f030b9f33a176d12b07b7432d27bda5f7",
-     45150, 0, "0x1.2900000000000p+8"),
+     45150, 0, "0x1.2900000000000p+8",
+     "b351cb25daa708c8df706e5969089b042c86cbfce0114e7a110581a4aab49e84"),
 ]
 
 
-@pytest.mark.parametrize("algo,n,k,objective,digest,edges,closed,cost", GOLDEN)
-def test_golden_transcripts(algo, n, k, objective, digest, edges, closed, cost):
+def _report_digest(result) -> str:
+    report = json.dumps(adversary_report_dict(result), sort_keys=True)
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("algo,n,k,objective,digest,edges,closed,cost,report", GOLDEN)
+def test_golden_transcripts(algo, n, k, objective, digest, edges, closed, cost, report):
     result = run_against(adversary_algorithm(algo), n, k, 1.0, objective)
     qx, qy, qa = result.session.transcript()
     assert hashlib.sha256(qx.tobytes() + qy.tobytes() + qa.tobytes()).hexdigest() == digest
@@ -361,6 +372,7 @@ def test_golden_transcripts(algo, n, k, objective, digest, edges, closed, cost):
     assert result.session.closed_points() == closed
     assert result.audit.solution_cost.hex() == cost
     assert result.audit.passed, result.audit.violations
+    assert _report_digest(result) == report
 
 
 # Recorded while the session still tallied each vertex's open unit
@@ -381,6 +393,8 @@ def test_golden_local_search_transcript():
     assert len(result.audit.violations) == 1
     assert result.audit.violations[0].startswith(
         "premise not met: 79600 queries exceed the n·k·δ allowance 400.0")
+    assert _report_digest(result) == (
+        "36223d037672d37c311b8fe0c773ac1810f9880f2fa82a4761f4c86f92ac563c")
 
 
 def test_two_hop_matches_brute_force_in_scan_regime():
