@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -8,7 +9,8 @@ import networkx as nx
 import pytest
 
 import detkmed as dk
-from detkmed.adversary import AdversarySession, AdversaryOracle, run_against
+from detkmed.adversary import (AdversarySession, AdversaryOracle, FinalMetric,
+                               audit_session, run_against)
 from detkmed.cli import main
 from detkmed.harness import adversary_algorithm, adversary_report_dict, run_algorithm
 from detkmed.metric import Objective
@@ -55,6 +57,33 @@ def test_closed_node_distance_two():
     got = sess.answer_query(hub, partner)
     expected = nx.dijkstra_path_length(build_hat_graph(sess), hub, partner)
     assert got == expected == 2.0
+
+
+def test_dijkstra_fallback_past_the_enumeration_threshold():
+    # k = 1, delta = 1 at n = 1024: M = 100 and L ~ 1.505, so the gate route
+    # 2L exceeds 3, the threshold below which the enumerated candidates are
+    # exhaustive. Point 0 closes against 1..99 and each of those closes
+    # against points from 200 up, so 0 keeps no open unit neighbor to anchor
+    # a virtual edge at, and only the capped Dijkstra finds the path
+    # 0 -> 1 -> 200 -> (virtual) -> 150 of length 3.
+    n = 1024
+    sess = AdversarySession(n, 1, 1.0)
+    assert sess.M == 100 and 2 * sess.L > sess._thr == 3.0
+    for v in range(1, 100):
+        sess.answer_query(0, v)
+    assert not sess.status[0]
+    fresh = 0
+    for v in range(1, 100):
+        while sess.status[v]:
+            sess.answer_query(v, 200 + fresh % (n - 200))
+            fresh += 1
+    expected = nx.dijkstra_path_length(build_hat_graph(sess), 0, 150)
+    searches = []
+    dijkstra = sess._dijkstra_hat
+    sess._dijkstra_hat = lambda *args: searches.append(args) or dijkstra(*args)
+    assert sess.answer_query(0, 150) == expected == 3.0
+    assert len(searches) == 1
+    assert sess.edge_weight(200, 150) == 1.0
 
 
 def test_statuses_never_reopen_and_m_threshold():
@@ -193,6 +222,70 @@ def test_lazy_distance_agrees_with_dense():
         assert metric.distance(i, j) == pytest.approx(D[i, j], rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def finalized_hierarchical_1024():
+    # L ~ 1.31, so lb = 2 and the gate route 2L sits above it
+    sess = AdversarySession(1024, 2, 1.0)
+    space = dk.WeightedMetricSpace(AdversaryOracle(sess), np.ones(1024))
+    sess.finalize(adversary_algorithm("hierarchical")(space, 2, Objective.MEDIAN).centers)
+    unmutated = copy.deepcopy(sess)
+    assert audit_session(unmutated, FinalMetric(unmutated)).passed
+    return sess
+
+
+def _set_weight(sess, u, v, w):
+    sess._adj[u][v] = sess._adj[v][u] = w
+
+
+def _mutate_shortcut(sess):
+    # a 0.9 + 0.9 path through a point joined to neither end of an edge at
+    # lb; the final metric still reports lb, since the two-hop search
+    # returns without scanning common neighbors in this regime
+    adj = sess._adj
+    u, v, _ = next(e for e in sess.edges()
+                   if e[2] == 2.0 and len(adj[e[0]]) + len(adj[e[1]]) < sess.n)
+    m = next(m for m in range(sess.n) if m not in (u, v) and m not in adj[u] and m not in adj[v])
+    _set_weight(sess, u, m, 0.9)
+    _set_weight(sess, m, v, 0.9)
+    assert FinalMetric(sess).distance(u, v) == 2.0
+
+
+def _mutate_lowered(sess):
+    u, v, _ = next(e for e in sess.edges() if e[2] == 2.0)
+    _set_weight(sess, u, v, 1.5)
+
+
+def _mutate_raised(sess):
+    # every answer of 2 has a two-unit path, which the re-derivation finds
+    u, v, _ = next(e for e in sess.edges() if e[2] == 2.0)
+    _set_weight(sess, u, v, 2.5)
+
+
+def _mutate_reopened(sess):
+    u, v, _ = next(e for e in sess.edges() if e[1] != sess.gate and e[2] > 1.0)
+    sess.status[u] = sess.status[v] = 1
+
+
+def _mutate_gate(sess):
+    _set_weight(sess, 7, sess.gate, sess.L + 0.5)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_mutate_shortcut, "weight 0.9 is neither 1 nor at least 2.0"),
+    (_mutate_lowered, "weight 1.5 is neither 1 nor at least 2.0"),
+    (_mutate_raised, "answered 2.5 but final distance 2.0"),
+    (_mutate_reopened, "joins two open points"),
+    (_mutate_gate, "gate edge (7,1024) has weight"),
+])
+def test_consistency_audit_catches_mutants(finalized_hierarchical_1024, mutate, message):
+    # mutated after finalize, whose own answers would close a reopened
+    # point again
+    sess = copy.deepcopy(finalized_hierarchical_1024)
+    mutate(sess)
+    violations = audit_session(sess, FinalMetric(sess)).violations
+    assert any(message in v for v in violations), violations
+
+
 def test_finalize_pads_with_smallest_unused():
     sess = AdversarySession(32, 3, 1.0)
     sess.answer_query(1, 2)
@@ -326,8 +419,9 @@ def test_means_mode_uses_squared_threshold():
 # Recorded before the engine moved from one global edge dict to per-vertex
 # maps: sha256 of the qx, qy, qa transcript bytes, edge_count(),
 # closed_points() and solution_cost.hex(). The three hierarchical cases cover
-# the three two-hop regimes (L ~ 0.91: gate route at the lower bound;
-# L ~ 1.31: gate route within one unit edge of it; L ~ 1.52: scan). The guha
+# L ~ 0.91, where M > n and so no point ever closes or needs a search, and
+# two of the two-hop regimes (L ~ 1.31: gate route within one unit edge of
+# the lower bound; L ~ 1.52: scan). The guha
 # row was re-recorded when guha stopped pricing its composed mapping: 297
 # repeat answers fewer (10,827 -> 10,530), edges, closures and cost unchanged.
 # The hierarchical rows were re-recorded when Phase II began asking each pair
