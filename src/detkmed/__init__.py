@@ -21,6 +21,7 @@ from .greedy import (
     audit_certificate,
     naive_reverse_greedy,
     res_greedy,
+    res_greedy_batch,
 )
 from .hierarchy import (
     PartitionHierarchy,

@@ -23,11 +23,10 @@ the best two-edge path, a best candidate using one virtual edge anchored at
 unit-weight open neighbors, and an enumeration threshold below which those
 candidates are provably exhaustive; only candidates above the threshold fall
 back to a capped Dijkstra that relaxes the open clique once at the first open
-vertex it settles. The two-edge minimum needs no scan in three regimes: the
-gate route 2L when it already meets the lower bound 2*min(1, L); 2 when the
-endpoints share a unit neighbor; and 2L again while it costs at most one unit
-edge plus the lightest other edge. Only past that are common neighbors
-enumerated, by intersecting the two vertex maps.
+vertex it settles. The two-edge minimum needs no scan in two regimes: 2 when
+the endpoints share a unit neighbor, and the gate route 2L while it costs at
+most one unit edge plus the lightest other edge. Only past that are common
+neighbors enumerated, by intersecting the two vertex maps.
 """
 
 from __future__ import annotations
@@ -84,13 +83,6 @@ class AdversarySession:
             raise MetricInputError("M exceeds n^2; no consistent metric in this regime")
         self.L = math.log(n) / math.log(self.M)
         self.gate = n
-        self._lb = 2.0 * min(1.0, self.L)
-        # Point-point edges weigh 1 or >= min(2, 2L); gate edges pair up
-        # through the gate vertex. Hence every path value below 3*min(1, L)
-        # is produced by the direct edge, a two-edge path, or a one-virtual-
-        # edge path anchored at unit neighbors, all of which are enumerated
-        # exactly, so candidates at or below this threshold are final.
-        self._thr = 3.0 * min(1.0, self.L)
         self.budget = budget
         self.finalized = False
         self.final_centers: list[int] | None = None
@@ -182,23 +174,19 @@ class AdversarySession:
     def _two_hop(self, x: int, y: int) -> float:
         """Exact minimum over materialized two-edge paths (gate included).
 
-        Every edge weighs at least min(1, L), so no two-edge path is shorter
-        than lb = 2*min(1, L), and the gate route L + L always exists: when
-        it reaches lb it is the answer. Otherwise L > 1, so point-point
-        edges weigh 1 or at least lb = 2: two unit edges give 2.0, and every
-        other two-edge path costs at least 1 + lb, so the gate route wins up
-        to there. Only beyond that are the common neighbors enumerated.
+        Only a closed point gets here, so L >= 1 (at L < 1, M > n and no
+        degree reaches M): point-point edges weigh 1 or at least 2, and no
+        two-edge path is shorter than 2. Two unit edges give 2.0; every other
+        two-edge path costs at least 3, so the gate route L + L wins up to
+        there. Only beyond that are the common neighbors enumerated.
         """
         gate_route = self.L + self.L
-        lb = self._lb
-        if gate_route <= lb:
-            return gate_route
         ax, ay = self._adj[x], self._adj[y]
         ux, uy = self._unit_nbrs[x], self._unit_nbrs[y]
         short, other = (ux, ay) if len(ux) <= len(uy) else (uy, ax)
         if 1.0 in map(other.get, short):
             return 2.0
-        if gate_route <= 1.0 + lb:
+        if gate_route <= 3.0:
             return gate_route
         if len(ax) > len(ay):
             ax, ay = ay, ax
@@ -209,8 +197,8 @@ class AdversarySession:
         anchors at itself when open, else at an open unit-weight neighbor.
         Returns (weight, (u, v)) or None. The anchors never coincide: that
         takes a direct unit edge (an endpoint open) or a shared open unit
-        neighbor (both closed, so `_two_hop` gives lb), and `_case3` builds
-        no candidate once the answer is at or below lb."""
+        neighbor (both closed, so `_two_hop` gives 2), and `_case3` builds
+        no candidate once the answer is at or below 2."""
         if self.status[x]:
             ax, ua = 0.0, x
         else:
@@ -278,17 +266,19 @@ class AdversarySession:
 
     def _case3(self, x: int, y: int):
         """Exact shortest-path distance between two points that are not both
-        open, and the open-open virtual edge the path uses (or None). The
-        virtual candidate is only built once the direct edge and the two-hop
-        paths miss the lower bound: building it advances the round-robin
-        anchors, which later answers depend on."""
+        open, and the open-open virtual edge the path uses (or None). With
+        L >= 1 (see `_two_hop`) every path below 3 is the direct edge, a
+        two-edge path or a one-virtual-edge path anchored at unit neighbors,
+        all enumerated exactly, so a candidate of at most 3 is final. The
+        virtual candidate is only built once those paths miss 2: building it
+        advances the round-robin anchors, which later answers depend on."""
         best = min(self._adj[x].get(y, math.inf), self._two_hop(x, y))
         virt = None
-        if best > self._lb:
+        if best > 2.0:
             cand = self._virtual_candidate(x, y)
             if cand is not None and cand[0] < best:
                 best, virt = cand
-        if best <= self._thr:
+        if best <= 3.0:
             return best, virt
         d, dvirt = self._dijkstra_hat(x, y, best)
         if d < best:
@@ -446,7 +436,8 @@ def _consistency_violations(session: AdversarySession, metric: FinalMetric) -> l
     search, and only heavier edges are re-derived through the final metric.
     """
     out = []
-    gate, L, lb, status = session.gate, session.L, session._lb, session.status
+    gate, L, status = session.gate, session.L, session.status
+    lb = 2.0 * min(1.0, L)
     for u, v, w in session.edges():
         if v == gate:  # edges() yields u < v, and the gate is vertex n
             if w == L:

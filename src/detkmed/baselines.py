@@ -15,7 +15,7 @@ from .metric import (
     Objective,
     Solution,
     WeightedMetricSpace,
-    _index_array,
+    _universe,
     as_objective,
     build_solution,
     check_k,
@@ -50,8 +50,7 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
     final solution.
     """
     obj = as_objective(objective)
-    U = space.all_points() if universe is None else np.unique(
-        _index_array(universe, space.n, "universe"))
+    U = np.unique(_universe(space, universe, obj))
     k = check_k(k, U.size)
     w = space.weights[U]
     centers = U[:k].tolist()

@@ -30,6 +30,7 @@ from .metric import (
 )
 
 OBJECTIVES = [o.value for o in Objective]
+INPUT_FORMATS = ["matrix", "points-l2", "points-l1"]
 
 
 def _parse_params(text: str | None) -> dict:
@@ -52,16 +53,8 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _parse_int_list(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text: str | None) -> tuple[float, ...]:
-    if not text:
-        return ()
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_list(text: str | None, cast) -> tuple:
+    return tuple(cast(v) for v in (text or "").split(",") if v.strip())
 
 
 def cmd_cluster(args) -> int:
@@ -114,10 +107,10 @@ def cmd_bench(args) -> int:
     spec = harness.SweepSpec(
         generator=args.generator,
         params=_parse_params(args.gen_params),
-        ns=_parse_int_list(args.ns),
-        ks=_parse_int_list(args.ks),
+        ns=_parse_list(args.ns, int),
+        ks=_parse_list(args.ks, int),
         algorithms=tuple(args.algos.split(",") if args.algos else harness.ALGORITHMS),
-        deltas=_parse_float_list(args.deltas) or (harness.GUHA_DELTA,),
+        deltas=_parse_list(args.deltas, float) or (harness.GUHA_DELTA,),
         objective=args.objective,
         seed=args.seed,
         with_ratio=args.ratio,
@@ -233,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--objective", choices=OBJECTIVES, default="median")
     c.add_argument("--input", required=True)
-    c.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
-                   default="matrix")
+    c.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     c.add_argument("--delta", type=float, default=harness.GUHA_DELTA,
                    help="guha time/quality knob")
     c.add_argument("--audit", action="store_true",
@@ -273,22 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     vs = v.add_subparsers(dest="what", required=True)
     vm = vs.add_parser("metric")
     vm.add_argument("--input", required=True)
-    vm.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
-                    default="matrix")
+    vm.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     vm.add_argument("--mode", choices=["exhaustive", "sampled"],
                     help="default: exhaustive for n <= 1024, sampled above")
     vm.add_argument("--samples", type=int, default=2000)
     vc = vs.add_parser("certificate")
     vc.add_argument("--cert", required=True)
     vc.add_argument("--input", required=True)
-    vc.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
-                    default="matrix")
+    vc.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     vc.add_argument("--k", type=int, required=True)
     vc.add_argument("--eps", type=float, default=None)
     vp = vs.add_parser("pipeline")
     vp.add_argument("--input", required=True)
-    vp.add_argument("--format", choices=["matrix", "points-l2", "points-l1"],
-                    default="matrix")
+    vp.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     vp.add_argument("--k", type=int, required=True)
     vp.add_argument("--objective", choices=OBJECTIVES, default="median")
     vr = vs.add_parser("replay")

@@ -9,13 +9,13 @@ routine usable as a restricted solver inside the hierarchical pipeline.
 The state keeps, for every point, its nearest and second-nearest alive
 center under the (distance, center id) order and never sorts: a removal
 promotes the second nearest where the nearest was removed and finds the next
-one with a masked argmin, so each iteration is O(|U|) array work plus O(|X|)
-per affected row. All distances come from one |U| x |X| matrix fixed at
-initialization: the caller may hand it in (the pipeline assembles each
-node's matrix from its children's blocks), otherwise it is requested once.
-`res_greedy` is the only run loop. A candidate set already no larger than k'
-goes through it as a zero-step run, so a whole-space call requests
-|U| x |X| once and nothing more.
+one with a masked argmin. All distances come from one |U| x |X| matrix per
+run, handed in or requested once. One state holds a batch of B runs of the
+same shape and steps them in lockstep, so a step is a fixed number of array
+calls whatever B is, and each run's removals, costs and centers are
+bit-identical to running it alone. `res_greedy_batch` is the only run loop
+and `res_greedy` its one-run call; a candidate set no larger than k' goes
+through it as a zero-step run.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     _index_array,
+    _universe,
     as_objective,
     check_k,
     leq,
@@ -89,133 +90,122 @@ class BoundCertificate:
     @classmethod
     def loads(cls, text: str) -> "BoundCertificate":
         d = json.loads(text)
-        return cls(
-            candidates=tuple(d["candidates"]),
-            k_prime=d["k_prime"],
-            universe_size=d["universe_size"],
-            objective=Objective(d["objective"]),
-            steps=[RemovalStep(*row) for row in d["steps"]],
-            initial_cost=d["initial_cost"],
-            final_cost=d["final_cost"],
-            k=d.get("k"),
-            eps=d.get("eps"),
-        )
+        return cls(**{**d, "candidates": tuple(d["candidates"]),
+                      "objective": Objective(d["objective"]),
+                      "steps": [RemovalStep(*row) for row in d["steps"]]})
 
 
 class GreedyState:
-    """Live reverse-greedy structures over (universe, candidates).
-
-    Per universe row: the slots s1, s2 of the nearest and second-nearest
-    alive candidate under the (distance, candidate id) order, and their
-    distances d1, d2. The clusters, the cost and the exact removal deltas
-    change(y) = cost(S-y) - cost(S) are read from these. `distances`, when
-    given, is the |U| x |X| matrix (rows in universe order, candidates
-    ascending) and no query is made; otherwise that matrix is requested.
+    """B reverse-greedy runs of one shape, stepped in lockstep. Run b reads
+    the |U| x |X| block distances[b] (rows in universe[b]'s order,
+    candidates[b] ascending) and keeps per universe row the slots s1, s2 of
+    its nearest and second-nearest alive candidate under the (distance,
+    candidate id) order, and their distances d1, d2. One run passes 1-D ids
+    and its 2-D block, requested when not given; B runs pass B x |U| and
+    B x |X| ids with their B x |U| x |X| block.
     """
 
     def __init__(self, space: WeightedMetricSpace, candidates, universe=None,
                  objective: Objective | str = Objective.MEDIAN, distances=None):
         self.objective = _greedy_objective(as_objective(objective))
-        U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+        U = _universe(space, universe, self.objective)
         cand = _index_array(candidates, space.n, "candidates")
         if distances is None:
             cand = np.unique(cand)
             distances = space.pairwise(U, cand)
-        elif distances.shape != (U.size, cand.size) or not (cand[1:] > cand[:-1]).all():
+        B = distances.shape[0] if distances.ndim == 3 else 1
+        if distances.shape[-2:] != (U.size / B, cand.size / B) \
+                or not (np.diff(cand.reshape(B, -1)) > 0).all():
             raise MetricInputError("distances must be the |U| x |X| block with "
                                    "candidates ascending and distinct")
-        self.universe = U
-        self.cand = cand
-        self.w = space.weights[U]
-        self._D = distances
-        self.alive = np.ones(cand.size, dtype=bool)
-        self._alive_count = cand.size
+        self.universe, self.cand = U.reshape(B, -1), cand.reshape(B, -1)
+        self.w = space.weights[self.universe]
+        self._D = np.ascontiguousarray(distances).reshape(B, *distances.shape[-2:])
+        self.alive = np.ones(self.cand.shape, dtype=bool)
+        self.size = self.cand.shape[1]
+        self._runs = np.arange(B)
         # argmin takes the first minimum and columns are id-ascending, so ties
         # go to the smaller candidate id
-        self._s1 = np.argmin(distances, axis=1)
-        self._d1 = distances[np.arange(U.size), self._s1]
+        self._s1 = np.argmin(self._D, axis=2)
+        self._d1 = np.take_along_axis(self._D, self._s1[..., None], axis=2)[..., 0]
         self._s2 = self._d2 = None  # found by the first step; zero-step runs never read them
 
-    def _refresh_second(self, rows: np.ndarray) -> None:
-        """s2/d2 of `rows`: first-minimum argmin with s1 and dead slots masked
-        to +inf, in chunks of _SCAN_CHUNK elements. Every distance is finite
-        (the oracles reject inputs whose distances overflow), so the minimum
-        is +inf only once a single center is left, and then s2 is never read."""
-        dead = ~self.alive
-        step = max(1, _SCAN_CHUNK // self.cand.size)
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
+    def _refresh_second(self, flat: np.ndarray) -> None:
+        """s2/d2 of the rows `flat` of the run-major B*|U| rows: first-minimum
+        argmin with s1 and the run's dead slots masked to +inf, in chunks of
+        _SCAN_CHUNK elements. Distances are finite (the oracles reject
+        overflowing inputs), so the minimum is +inf only with one center
+        left, and then s2 is never read."""
+        B, n, m = self._D.shape
+        D, s1 = self._D.reshape(B * n, m), self._s1.reshape(-1)
+        s2, d2 = self._s2.reshape(-1), self._d2.reshape(-1)
+        step = max(1, _SCAN_CHUNK // m)
+        for lo in range(0, flat.size, step):
+            r = flat[lo : lo + step]
             at = np.arange(r.size)
-            block = self._D[r]
-            block[:, dead] = np.inf
-            block[at, self._s1[r]] = np.inf
-            s2 = np.argmin(block, axis=1)
-            self._s2[r] = s2
-            self._d2[r] = block[at, s2]
+            block = D[r]
+            block[~self.alive[r // n]] = np.inf
+            block[at, s1[r]] = np.inf
+            s2[r] = best = np.argmin(block, axis=1)
+            d2[r] = block[at, best]
 
-    @property
-    def size(self) -> int:
-        return self._alive_count
+    def centers(self, b: int = 0) -> list[int]:
+        return self.cand[b][self.alive[b]].tolist()
 
-    def centers(self) -> list[int]:
-        return [int(c) for c in self.cand[self.alive]]
+    def nearest(self, b: int = 0) -> np.ndarray:
+        """Id of the nearest alive center of each of run b's universe points."""
+        return self.cand[b][self._s1[b]]
 
-    def nearest(self) -> tuple[np.ndarray, np.ndarray]:
-        """(center id, distance) of each universe point's nearest alive center."""
-        return self.cand[self._s1], self._d1.copy()
+    def current_cost(self, b: int = 0) -> float:
+        return self.objective.total(self.w[b], self._d1[b])
 
-    def current_cost(self) -> float:
-        return self.objective.total(self.w, self._d1)
+    def clusters(self, b: int = 0) -> dict[int, np.ndarray]:
+        """C_S(y): run b's universe points whose nearest alive center is y."""
+        ids = self.nearest(b)
+        return {c: self.universe[b][ids == c] for c in self.centers(b)}
 
-    def clusters(self) -> dict[int, np.ndarray]:
-        """C_S(y): universe points whose nearest alive center is y."""
-        ids, _ = self.nearest()
-        out: dict[int, np.ndarray] = {}
-        for c in self.centers():
-            out[c] = self.universe[ids == c]
-        return out
-
-    def neighbor_list(self, x_row: int) -> list[tuple[int, float]]:
-        """Alive candidates for universe row x, sorted as the live list L_x."""
-        return sorted(((int(self.cand[s]), float(self._D[x_row, s]))
-                       for s in np.nonzero(self.alive)[0]),
+    def neighbor_list(self, x_row: int, b: int = 0) -> list[tuple[int, float]]:
+        """Run b's alive candidates for universe row x, sorted as the live list L_x."""
+        return sorted(((int(self.cand[b, s]), float(self._D[b, x_row, s]))
+                       for s in np.nonzero(self.alive[b])[0]),
                       key=lambda pair: (pair[1], pair[0]))
 
     def _change_by_slot(self) -> np.ndarray:
-        if self._alive_count < 2:
+        if self.size < 2:
             raise MetricInputError("cannot empty solution")
         if self._s2 is None:
             self._s2, self._d2 = np.empty_like(self._s1), np.empty_like(self._d1)
-            self._refresh_second(np.arange(self.universe.size))
+            self._refresh_second(np.arange(self._s1.size))
         pc = self.objective.point_cost
-        # bincount sums each slot's rows in row order
-        return np.bincount(self._s1, weights=self.w * (pc(self._d2) - pc(self._d1)),
-                           minlength=self.cand.size)
+        B, m = self.cand.shape
+        # flattening is run-major, so bincount sums each slot's rows in row order
+        slots = (self._s1 + self._runs[:, None] * m).ravel()
+        contrib = (self.w * (pc(self._d2) - pc(self._d1))).ravel()
+        return np.bincount(slots, weights=contrib, minlength=B * m).reshape(B, m)
 
-    def removal_deltas(self) -> dict[int, float]:
-        """change(y) = cost(S - y) - cost(S) for every alive center y."""
-        change = self._change_by_slot()
-        return {int(self.cand[s]): float(change[s]) for s in np.nonzero(self.alive)[0]}
+    def removal_deltas(self, b: int = 0) -> dict[int, float]:
+        """change(y) = cost(S - y) - cost(S) for every alive center y of run b."""
+        change = self._change_by_slot()[b]
+        return {int(self.cand[b, s]): float(change[s]) for s in np.nonzero(self.alive[b])[0]}
 
-    def step(self) -> tuple[int, float]:
-        """Remove argmin change(y) (ties to the smallest center id); returns
-        the removed center and the cost of the shrunken solution."""
-        change = self._change_by_slot()
-        masked = np.where(self.alive, change, np.inf)
-        y_slot = int(np.argmin(masked))
-        self.alive[y_slot] = False
-        self._alive_count -= 1
-        promoted = self._s1 == y_slot
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Remove each run's argmin change(y) (ties to the smallest center id);
+        returns per run the removed center and the shrunken solution's cost."""
+        y_slot = np.argmin(np.where(self.alive, self._change_by_slot(), np.inf), axis=1)
+        self.alive[self._runs, y_slot] = False
+        self.size -= 1
+        promoted = self._s1 == y_slot[:, None]
         self._s1[promoted] = self._s2[promoted]
         self._d1[promoted] = self._d2[promoted]
-        self._refresh_second(np.nonzero(promoted | (self._s2 == y_slot))[0])
-        return int(self.cand[y_slot]), self.current_cost()
+        self._refresh_second(np.flatnonzero(promoted | (self._s2 == y_slot[:, None])))
+        return self.cand[self._runs, y_slot], np.array([self.current_cost(b) for b in self._runs])
 
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
                objective: Objective | str = Objective.MEDIAN, universe=None,
                k: int | None = None, distances=None) -> tuple[Solution, BoundCertificate]:
-    """Res-Greedy_{k'}: reverse greedy from S = X down to k' centers.
+    """Res-Greedy_{k'}: reverse greedy from S = X down to k' centers, the
+    one-run call of `res_greedy_batch`.
 
     Returns the solution (assignment over the universe) and the removal-trace
     certificate. When |X| <= k' the run takes no step: X comes back unchanged
@@ -223,22 +213,35 @@ def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     Given k, a means certificate records eps = means_eps(space.n, k).
     `distances` is passed to GreedyState: given, the run makes no query.
     """
+    return res_greedy_batch(space, candidates, k_prime, objective, universe, k, distances)[0]
+
+
+def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
+                     objective: Objective | str = Objective.MEDIAN, universe=None,
+                     k: int | None = None, distances=None
+                     ) -> list[tuple[Solution, BoundCertificate]]:
+    """The one reverse-greedy loop: the runs of one GreedyState step in
+    lockstep, all |X| - k' steps of them (none when |X| <= k'). Returns per
+    run the (solution, certificate) pair that run gives alone."""
     k_prime = check_k(k_prime, name="k_prime")
     state = GreedyState(space, candidates, universe=universe, objective=objective,
                         distances=distances)
-    eps = means_eps(space.n, k) if k is not None and state.objective is Objective.MEANS else None
-    current = state.current_cost()
-    cert = BoundCertificate(candidates=tuple(state.cand.tolist()), k_prime=k_prime,
-                            universe_size=state.universe.size, objective=state.objective,
-                            steps=[], initial_cost=current, final_cost=None, k=k, eps=eps)
+    obj = state.objective
+    eps = means_eps(space.n, k) if k is not None and obj is Objective.MEANS else None
+    initial = current = [state.current_cost(b) for b in range(len(state.cand))]
+    traces: list[list[RemovalStep]] = [[] for _ in current]
     while state.size > k_prime:
         size_before = state.size
         removed, after = state.step()
-        cert.steps.append(RemovalStep(removed, size_before, current, after))
+        after = after.tolist()
+        for trace, y, before, c in zip(traces, removed.tolist(), current, after):
+            trace.append(RemovalStep(y, size_before, before, c))
         current = after
-    cert.final_cost = current
-    ids, _ = state.nearest()
-    return Solution(tuple(state.centers()), ids, current, state.objective, state.universe), cert
+    return [(Solution(tuple(state.centers(b)), state.nearest(b), current[b], obj,
+                      state.universe[b]),
+             BoundCertificate(tuple(state.cand[b].tolist()), k_prime, state.universe.shape[1],
+                              obj, trace, initial[b], current[b], k, eps))
+            for b, trace in enumerate(traces)]
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -248,7 +251,7 @@ def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     every alive y at every step. Shares only the tie rule with the fast path."""
     obj = _greedy_objective(as_objective(objective))
     k_prime = check_k(k_prime, name="k_prime")
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+    U = _universe(space, universe, obj)
     cand = np.unique(_index_array(candidates, space.n, "candidates"))
     w = space.weights[U]
     if cand.size <= k_prime:

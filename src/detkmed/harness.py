@@ -20,7 +20,6 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     as_objective,
-    check_cost_bound,
     check_k,
     opt_bruteforce,
 )
@@ -79,12 +78,10 @@ def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
                   ) -> tuple[Solution, RunRecord, BoundCertificate | None]:
     """Run one registered algorithm on a fresh counter window. The removal
     certificate comes back for reverse greedy, None otherwise; guha runs at
-    GUHA_DELTA unless delta is given. No cost exceeds sum(w) times the
-    oracle's diameter bound under the objective, so an input whose bound
-    overflows float64 is rejected before the first query."""
+    GUHA_DELTA unless delta is given. Every algorithm rejects an input whose
+    cost bound overflows float64 before its first query."""
     run = _algorithm(name)
     obj = as_objective(objective)
-    check_cost_bound(space, obj)
     delta = GUHA_DELTA if delta is None else delta
     q0 = space.oracle.query_count
     t0 = time.perf_counter()

@@ -3,13 +3,13 @@ restricted reverse-greedy solves, sparsifier extraction down to k centers.
 
 Phase I builds the refinement tree without touching the oracle. Phase II
 walks it bottom-up, running Res-Greedy_{2k} on each part restricted to the
-union of its children's solutions (so every candidate set has size <= 4k).
-It asks each pair at most once outside the leaves' own squares: a node's
-matrix is assembled from its children's surviving columns plus the two
-cross blocks, and the root's surviving columns are the V x V_0 block that
-Phase III's sparsifier reads. Phase III projects the space onto the <= 2k
-survivors, accumulates weights, and runs the constant-factor local-search
-solver on that sparsified space.
+union of its children's solutions (so every candidate set has size <= 4k),
+one lockstep batch per level and node shape. It asks each pair at most once
+outside the leaves' own squares: a node's matrix is assembled from its
+children's surviving columns plus the two cross blocks, and the root's
+surviving columns are the V x V_0 block that Phase III's sparsifier reads.
+Phase III projects the space onto the <= 2k survivors, accumulates weights,
+and runs the constant-factor local-search solver on that sparsified space.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import audit_sparsifier, composition_factor, local_search_kmedian
-from .greedy import BoundCertificate, audit_certificate, res_greedy
+from .greedy import BoundCertificate, audit_certificate, res_greedy_batch
 from .metric import (
     EnumerationBudgetError,
     Objective,
@@ -101,20 +101,19 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
 
 def _cross_block(space: WeightedMetricSpace, a: np.ndarray, b: np.ndarray,
                  left: tuple[np.ndarray, np.ndarray],
-                 right: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates R = c(a) ++ c(b) of the node X = a ++ b and its |X| x |R|
-    matrix, from each child's (centers, surviving columns) pair. Asks
-    a x c(b), then (b minus c(b)) x c(a), each row-major; the c(b) x c(a)
-    rows are the transpose of a x c(b)'s c(a) rows (every oracle answers
-    d(x, y) and d(y, x) alike). Parts are ascending id ranges, so an id's row
-    is its offset from the part's first id."""
+                 right: tuple[np.ndarray, np.ndarray] | None, D: np.ndarray) -> None:
+    """Write into D the |X| x |R| matrix of the node X = a ++ b with
+    candidates R = c(a) ++ c(b), from each child's (centers, surviving
+    columns) pair. Asks a x c(b), then (b minus c(b)) x c(a), each row-major;
+    the c(b) x c(a) rows are the transpose of a x c(b)'s c(a) rows (every
+    oracle answers d(x, y) and d(y, x) alike). Parts are ascending id ranges,
+    so an id's row is its offset from the part's first id."""
     ca, da = left
-    if b.size == 0:
-        return ca, da
-    cb, db = right
     na, ma = a.size, ca.size
-    D = np.empty((na + b.size, ma + cb.size))
     D[:na, :ma] = da
+    if b.size == 0:
+        return
+    cb, db = right
     D[na:, ma:] = db
     D[:na, ma:] = upper = space.pairwise(a, cb)
     lower = D[na:, :ma]
@@ -124,37 +123,49 @@ def _cross_block(space: WeightedMetricSpace, a: np.ndarray, b: np.ndarray,
         rest[kept] = False
         lower[rest] = space.pairwise(b[rest], ca)
     lower[kept] = upper[ca - a[0]].T
-    return np.concatenate([ca, cb]), D
 
 
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
            objective: Objective | str = Objective.MEDIAN) -> tuple[list[int], np.ndarray]:
     """Phase II. Fills hierarchy.centers / certificates and returns V_0 with
-    the V x V_0 block that sparsify reads (centers ascending). Each leaf asks
-    its X x X square; each internal node builds its matrix with _cross_block,
-    and a child's block is dropped once its parent has used it."""
+    the V x V_0 block that sparsify reads (centers ascending). A level makes
+    its requests in node order: each leaf asks its X x X square, each
+    internal node fills its matrix with _cross_block and drops its children's
+    blocks. Each node writes into its slot of one preallocated B x |X| x |R|
+    array per shape; greedy makes no query, so each shape then runs as one
+    `res_greedy_batch`."""
     obj = as_objective(objective)
     depth = hierarchy.depth
     hierarchy.centers = [[[] for _ in level] for level in hierarchy.parts]
     hierarchy.certificates = [[None for _ in level] for level in hierarchy.parts]
     below: list[tuple[np.ndarray, np.ndarray] | None] = []
     for i in range(depth, -1, -1):
-        level: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(hierarchy.parts[i])
-        for j, part in enumerate(hierarchy.parts[i]):
-            if part.size == 0:
-                continue
+        parts = hierarchy.parts[i]
+        # a leaf's candidates are its part, a node's its children's survivors
+        restriction = {j: part if i == depth else np.concatenate(
+                           [c[0] for c in below[2 * j:2 * j + 2] if c is not None])
+                       for j, part in enumerate(parts) if part.size}
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j, R in restriction.items():
+            groups.setdefault((parts[j].size, R.size), []).append(j)
+        blocks = {shape: np.empty((len(js), *shape)) for shape, js in groups.items()}
+        slot = {j: blocks[shape][t] for shape, js in groups.items() for t, j in enumerate(js)}
+        for j in restriction:
             if i == depth:
-                restriction, D = part, space.pairwise(part, part)
+                slot[j][...] = space.pairwise(parts[j], parts[j])
             else:
                 a, b = hierarchy.parts[i + 1][2 * j:2 * j + 2]
-                restriction, D = _cross_block(space, a, b, below[2 * j], below[2 * j + 1])
+                _cross_block(space, a, b, below[2 * j], below[2 * j + 1], slot[j])
                 below[2 * j] = below[2 * j + 1] = None
-            solution, hierarchy.certificates[i][j] = res_greedy(
-                space, restriction, 2 * k, obj, part, k=k, distances=D)
-            hierarchy.centers[i][j] = list(solution.centers)
-            kept = np.searchsorted(restriction, solution.centers)
-            level[j] = restriction[kept], D[:, kept]
-        below = level
+        below = [None] * len(parts)
+        for shape, js in groups.items():
+            runs = res_greedy_batch(space, np.stack([restriction[j] for j in js]), 2 * k, obj,
+                                    np.stack([parts[j] for j in js]), k=k,
+                                    distances=blocks[shape])
+            for j, (solution, hierarchy.certificates[i][j]) in zip(js, runs):
+                hierarchy.centers[i][j] = list(solution.centers)
+                kept = np.searchsorted(restriction[j], solution.centers)
+                below[j] = restriction[j][kept], slot[j][:, kept]
     return hierarchy.centers[0][0], below[0][1]
 
 

@@ -19,8 +19,8 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 # Elements per temporary (2 MB of float64) in the chunked scans of the swap
-# table and reverse greedy's second-nearest refresh: bounds their working
-# memory on whole-space universes and keeps each chunk's passes in cache.
+# table, reverse greedy's second-nearest refresh and the point kernel: bounds
+# their working memory and keeps each chunk's passes in cache.
 _SCAN_CHUNK = 1 << 18
 
 
@@ -149,13 +149,14 @@ class MatrixOracle(DistanceOracle):
             raise MetricInputError("not a metric: asymmetric distance matrix")
         super().__init__(matrix.shape[0])
         self._m = matrix
+        self._diameter = float(matrix.max())
 
     def _pairwise(self, rows, cols):
         return self._m[np.ix_(rows, cols)]
 
     def diameter_bound(self) -> float:
-        """No distance exceeds this: the largest entry. Makes no query."""
-        return float(self._m.max())
+        """No distance exceeds this: the largest entry, kept from construction."""
+        return self._diameter
 
 
 class PointsOracle(DistanceOracle):
@@ -194,7 +195,7 @@ class PointsOracle(DistanceOracle):
         out = np.empty((rows.size, cols.size))
         b = self._p[cols]
         # chunk rows so n^2 requests never materialize a (n, n, dim) tensor
-        step = max(1, 8_000_000 // max(1, cols.size * self._p.shape[1]))
+        step = max(1, _SCAN_CHUNK // max(1, cols.size * self._p.shape[1]))
         for lo in range(0, rows.size, step):
             a = self._p[rows[lo : lo + step]]
             diff = a[:, None, :] - b[None, :, :]
@@ -271,7 +272,15 @@ def _index_array(ids, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _sweep(space: WeightedMetricSpace, centers, universe, distances=None):
+def _universe(space: WeightedMetricSpace, universe, objective=None) -> np.ndarray:
+    """The universe's ids, all points when None. Every entry point that forms a
+    cost resolves its universe here, after check_cost_bound, before any query."""
+    if objective is not None:
+        check_cost_bound(space, objective)
+    return space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+
+
+def _sweep(space: WeightedMetricSpace, centers, universe, distances=None, objective=None):
     """The nearest-center sweep over one |U| x |S| block, rows in universe
     order and columns in the given center order: requested, unless the
     caller already holds it as `distances`. Returns the universe, the column
@@ -280,7 +289,7 @@ def _sweep(space: WeightedMetricSpace, centers, universe, distances=None):
     if centers is None or len(centers) == 0:
         raise MetricInputError("empty solution")
     S = _index_array(centers, space.n, "centers")
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+    U = _universe(space, universe, objective)
     D = space.pairwise(U, S) if distances is None else distances
     idx = np.argmin(D, axis=1)
     return U, idx, D[np.arange(U.size), idx]
@@ -292,7 +301,7 @@ def cost(space: WeightedMetricSpace, centers, universe=None,
 
     Queries the oracle exactly |S| * |U| times.
     """
-    U, _, dmin = _sweep(space, centers, universe)
+    U, _, dmin = _sweep(space, centers, universe, objective=objective)
     return as_objective(objective).total(space.weights[U], dmin)
 
 
@@ -312,7 +321,7 @@ def build_solution(space: WeightedMetricSpace, centers, objective: Objective | s
     obj = as_objective(objective)
     given = tuple(int(c) for c in centers)
     S = np.unique(np.asarray(given, dtype=np.int64))
-    U, idx, dmin = _sweep(space, S, universe)
+    U, idx, dmin = _sweep(space, S, universe, objective=obj)
     return Solution(given, S[idx], obj.total(space.weights[U], dmin), obj, U)
 
 
@@ -338,7 +347,7 @@ def opt_bruteforce(space: WeightedMetricSpace, k: int, universe=None, candidates
     Returns the optimum cost and the lexicographically smallest achieving set.
     """
     obj = as_objective(objective)
-    U = space.all_points() if universe is None else _index_array(universe, space.n, "universe")
+    U = _universe(space, universe, obj)
     X = np.unique(U if candidates is None else _index_array(candidates, space.n, "candidates"))
     k = check_k(k, X.size)
     if math.comb(X.size, k) > budget:

@@ -68,7 +68,7 @@ def test_dijkstra_fallback_past_the_enumeration_threshold():
     # 0 -> 1 -> 200 -> (virtual) -> 150 of length 3.
     n = 1024
     sess = AdversarySession(n, 1, 1.0)
-    assert sess.M == 100 and 2 * sess.L > sess._thr == 3.0
+    assert sess.M == 100 and 2 * sess.L > 3.0
     for v in range(1, 100):
         sess.answer_query(0, v)
     assert not sess.status[0]

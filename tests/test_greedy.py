@@ -353,3 +353,31 @@ def test_masked_argmin_state_matches_sorted_cursors():
                     assert np.array_equal(sol.assignment, ids)
                     runs += 1
     assert runs > 1000
+
+
+def test_lockstep_batches_match_sorted_cursors():
+    # four same-shaped runs on one space step as one batch; each must give
+    # exactly what the sorted-cursor reference gives for it alone, from the
+    # zero-step group (k' = |X|) down to k' = 1
+    groups = 0
+    for sp in _tie_corpus():
+        pts = sp.all_points()
+        h = sp.n // 2
+        evens, odds = pts[::2][:h], pts[1::2][:h]
+        cands = (evens, odds, pts[:h], pts[-h:])
+        for universes in ((pts,) * 4, (evens, odds, odds, evens)):
+            D = np.stack([sp.pairwise(u, c) for u, c in zip(universes, cands)])
+            for obj in ("median", "means"):
+                for k_prime in range(1, h + 1):
+                    runs = dk.res_greedy_batch(sp, np.stack(cands), k_prime, obj,
+                                               np.stack(universes), k=k_prime, distances=D)
+                    assert len(runs) == 4
+                    for (sol, cert), c, u in zip(runs, cands, universes):
+                        centers, ids, cost, ref_cert = _reference_res_greedy(
+                            sp, c, k_prime, obj, universe=u, k=k_prime)
+                        assert cert.dumps() == ref_cert.dumps()
+                        assert sol.centers == centers
+                        assert sol.cost.hex() == cost.hex()
+                        assert np.array_equal(sol.assignment, ids)
+                    groups += 1
+    assert groups > 300

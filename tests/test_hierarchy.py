@@ -358,3 +358,24 @@ def test_pipeline_rejects_cost_overflow_before_any_query():
         with pytest.raises(dk.MetricInputError, match="overflow"):
             dk.hierarchical_cluster(sp, 1, objective)
         assert sp.oracle.query_count == 0
+
+
+def test_phase2_lockstep_groups_keep_the_adversary_transcript():
+    # n = 1030, k = 2: level 7 holds nodes of 8 and of 9 points over 8
+    # candidates, so two shape groups step side by side there. The digests of
+    # Phase II's adversary transcript and of its certificates were recorded
+    # with the per-node greedy loop.
+    from detkmed.adversary import AdversaryOracle, AdversarySession
+
+    sess = AdversarySession(1030, 2, 1.0, "median")
+    sp = dk.WeightedMetricSpace(AdversaryOracle(sess), np.ones(1030))
+    h = dk.build_partitions(sp, 2)
+    v0, _ = dk.phase2(sp, h, 2)
+    assert {(c.universe_size, len(c.candidates)) for c in h.certificates[7]} == {(8, 8), (9, 8)}
+    qx, qy, qa = sess.transcript()
+    assert hashlib.sha256(qx.tobytes() + qy.tobytes() + qa.tobytes()).hexdigest() == (
+        "b0122430dd6b6aa8a871d2910d48c324e95d9e64de819f481d746ae7229e80b9")
+    certs = "".join(c.dumps() for level in h.certificates for c in level if c is not None)
+    assert hashlib.sha256(certs.encode()).hexdigest() == (
+        "43c3028e63cd10bfa8258bd4657cb4c680e1c8987c31f51b3f8452adc47784ac")
+    assert v0 == [257, 514, 772, 1029]

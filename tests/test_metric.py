@@ -92,6 +92,28 @@ def test_run_algorithm_rejects_cost_overflow_before_any_query(coords, weights, o
     assert sp.oracle.query_count == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coords,weights,objective", [
+    ([[0.0], [2.0], [4.0]], [1e308] * 3, "median"),
+    ([[6e153], [-6e153], [0.0]], None, "means"),
+])
+def test_entry_points_reject_cost_overflow_before_any_query(coords, weights, objective):
+    # finite distances whose cost bound overflows: every entry point that
+    # forms a cost raises before its first query
+    sp = dk.WeightedMetricSpace.from_points(coords, weights)
+    calls = [
+        lambda: dk.cost(sp, [0], objective=objective),
+        lambda: dk.opt_bruteforce(sp, 1, objective=objective),
+        lambda: dk.local_search_kmedian(sp, 1, objective),
+        lambda: dk.guha_hierarchical(sp, 1, 2.0, objective),
+        lambda: dk.res_greedy(sp, sp.all_points(), 1, objective),
+    ]
+    for call in calls:
+        with pytest.raises(dk.MetricInputError, match="overflow"):
+            call()
+        assert sp.oracle.query_count == 0
+
+
 def test_diameter_bound_covers_every_distance():
     rng = np.random.default_rng(5)
     for norm in ("l1", "l2"):
