@@ -3,6 +3,7 @@ objectives, and the brute-force optimum used as the testing oracle."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -19,8 +20,8 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 # Elements per temporary (2 MB of float64) in the chunked scans of the swap
-# table, reverse greedy's second-nearest refresh and the point kernel: bounds
-# their working memory and keeps each chunk's passes in cache.
+# table, reverse greedy's second-nearest refresh, the point kernel's term
+# planes and aspect_ratio's row blocks: bounds their working memory.
 _SCAN_CHUNK = 1 << 18
 
 
@@ -119,8 +120,8 @@ class DistanceOracle:
     def distance(self, i: int, j: int) -> float:
         """One pair, counted once, from the same kernel as pairwise."""
         self._bump(1)
-        return float(self._pairwise(np.array([i], dtype=np.int64),
-                                    np.array([j], dtype=np.int64))[0, 0])
+        ids = np.array((i, j), dtype=np.int64)
+        return float(self._pairwise(ids[:1], ids[1:])[0, 0])
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances for every (row, col) pair; counts len(rows)*len(cols)."""
@@ -138,7 +139,9 @@ class MatrixOracle(DistanceOracle):
     """Explicit n x n distance matrix. Must be symmetric with zero diagonal."""
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        # a read-only copy: changing the caller's array must not change validated answers
+        matrix = np.array(matrix, dtype=np.float64)
+        matrix.flags.writeable = False
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MetricInputError("not a metric: distance matrix must be square")
         if not np.all((matrix >= 0) & (matrix < np.inf)):
@@ -192,18 +195,74 @@ class PointsOracle(DistanceOracle):
             return float(span.sum() if self.norm == "l1" else np.sqrt((span * span).sum()))
 
     def _pairwise(self, rows, cols):
+        """The block one coordinate plane at a time, adding the terms |x - y| or
+        (x - y)^2 in numpy's order for a contiguous axis, so the bits are those of
+        summing a (rows, cols, dim) tensor of them, without the tensor: below 8
+        coordinates left to right; up to 128 in lanes r[j] = t[j] + t[j+8] + ...
+        combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
+        right; above 128 in halves split at dim/2 rounded down to a multiple of 8."""
         out = np.empty((rows.size, cols.size))
-        b = self._p[cols]
-        # chunk rows so n^2 requests never materialize a (n, n, dim) tensor
-        step = max(1, _SCAN_CHUNK // max(1, cols.size * self._p.shape[1]))
+        b = self._p.take(cols, 0).T[:, None]
+        # row chunks of at most _SCAN_CHUNK term elements share one buffer,
+        # as a fresh multi-megabyte one per chunk would fault its pages in again
+        step = max(1, _SCAN_CHUNK // max(1, b.size))
+        planes = np.empty((min(len(b), 16) + 1, min(step, rows.size), cols.size))
+        l1 = self.norm == "l1"
+        finish = np.positive if l1 else np.sqrt  # np.positive is an exact copy
         for lo in range(0, rows.size, step):
-            a = self._p[rows[lo : lo + step]]
-            diff = a[:, None, :] - b[None, :, :]
-            if self.norm == "l1":
-                out[lo : lo + step] = np.abs(diff).sum(axis=2)
-            else:
-                out[lo : lo + step] = np.sqrt((diff * diff).sum(axis=2))
+            block = out[lo : lo + step]
+            if len(block) < planes.shape[1]:  # the short last chunk
+                planes = planes[:, : len(block)]
+            a = self._p.take(rows[lo : lo + step], 0).T[:, :, None]
+            _coordinate_sum(a, b, l1, planes, planes[-1])
+            finish(planes[-1], block)
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_order(n: int) -> np.ndarray:
+    """The coordinate order of n <= 128 terms: each full group of eight
+    bit-reversed (0 4 2 6 1 5 3 7), so that each level of the lane combine
+    adds one half of the planes to the other."""
+    order = np.arange(n)
+    order[: n - n % 8] = order[: n - n % 8].reshape(-1, 2, 2, 2).transpose(0, 3, 2, 1).ravel()
+    order.flags.writeable = False
+    return order
+
+
+def _coordinate_sum(a, b, l1: bool, planes: np.ndarray, acc: np.ndarray) -> None:
+    """Write into acc the sum of |a - b| (l1) or (a - b)^2 over the first
+    axis, in the order `PointsOracle._pairwise` states. a is (n, R, 1) and b
+    is (n, 1, C); planes holds at least min(n, 16) (R, C) work planes
+    before acc."""
+    n = len(a)
+    body = n - n % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = np.empty_like(acc)
+        _coordinate_sum(a[:half], b[:half], l1, planes, acc)
+        _coordinate_sum(a[half:], b[half:], l1, planes, rest)
+        acc += rest
+        return
+
+    def terms(lo, hi, at):
+        t = np.subtract(a[lo:hi], b[lo:hi], planes[at : at + hi - lo])
+        return np.abs(t, t) if l1 else np.multiply(t, t, t)
+
+    if body:
+        a, b = a.take(_lane_order(n), 0), b.take(_lane_order(n), 0)
+    t = terms(0, n if n < 16 else 8, 0)  # below 16 terms the tail comes along
+    for lo in range(8, body, 8):  # from 16 terms on, when t is the eight lanes
+        t += terms(lo, lo + 8, 8)
+    if body:
+        if n >= 16:
+            terms(body, n, 8)
+        np.add(planes[4:8], planes[:4], planes[4:8])  # lanes sit as 0 4 2 6 1 5 3 7
+        np.add(planes[6:8], planes[4:6], planes[6:8])
+        t = planes[6 : 8 + n - body]  # the combine's two halves, then the tail
+    np.add(t[0] if n else 0.0, t[1] if len(t) > 1 else 0.0, acc)  # 0.0 + t0 is t0 >= 0
+    for j in range(2, len(t)):
+        acc += t[j]
 
 
 @dataclass
@@ -372,7 +431,7 @@ def aspect_ratio(space: WeightedMetricSpace) -> float:
     U = space.all_points()
     dmax = 0.0
     dmin = math.inf
-    step = max(1, 4_000_000 // space.n)
+    step = max(1, _SCAN_CHUNK // space.n)
     for lo in range(0, space.n, step):
         block = space.pairwise(U[lo : lo + step], U)
         nz = block[block > 0]

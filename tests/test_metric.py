@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detkmed as dk
+from detkmed import metric
 from detkmed.harness import ALGORITHMS, run_algorithm
 from detkmed.metric import ABS_TOL, REL_TOL, leq
 from tests.conftest import line_space
@@ -51,6 +53,61 @@ def test_distance_equals_pairwise_bit_for_bit():
         U = sp.all_points()
         single = np.array([[sp.distance(i, j) for j in U] for i in U])
         assert np.array_equal(single, sp.pairwise(U, U))
+
+
+def _reference_pairwise(points, rows, cols, norm):
+    """The point kernel before it went one coordinate at a time: a
+    (rows, cols, dim) difference tensor summed over its last axis."""
+    diff = points[rows][:, None, :] - points[cols][None, :, :]
+    if norm == "l1":
+        return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("dim", [*range(1, 13), 16, 127, 128, 129, 300])
+def test_point_kernel_matches_the_broadcast_kernel_bit_for_bit(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    points = rng.normal(size=(40, dim)) * rng.choice([1e-3, 1.0, 1e3], size=dim)
+    rows = rng.integers(0, 40, size=23)  # unsorted, with repeats
+    cols = rng.integers(0, 40, size=17)
+    shapes = [(rows, cols), (rows[:1], cols[:1]), (rows[:1], cols), (rows, cols[:1])]
+    for norm in ("l1", "l2"):
+        oracle = dk.PointsOracle(points, norm=norm)
+        # one chunk, then 3 rows per chunk with a short last one
+        for chunk in (metric._SCAN_CHUNK, 3 * 17 * dim):
+            monkeypatch.setattr(metric, "_SCAN_CHUNK", chunk)
+            for r, c in shapes:
+                expected = _reference_pairwise(points, r, c, norm)
+                got = oracle.pairwise(r, c)
+                assert np.array_equal(got, expected), (norm, chunk, r.size, c.size)
+
+
+# tracemalloc peak, beyond its 4 MB output, of the broadcast kernel on one
+# 2048 x 256 request (measured with numpy 2.4.6)
+_BROADCAST_KERNEL_PEAK = {2: 5_256_816, 64: 4_401_096}
+
+
+@pytest.mark.parametrize("dim", sorted(_BROADCAST_KERNEL_PEAK))
+def test_point_kernel_peak_memory_stays_under_the_broadcast_kernel(dim):
+    sp = dk.WeightedMetricSpace.from_points(np.random.default_rng(0).random((2048, dim)))
+    rows, cols = np.arange(2048), np.arange(256)
+    sp.pairwise(rows, cols)  # as when the bound was measured: not the first call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = sp.pairwise(rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base - out.nbytes <= _BROADCAST_KERNEL_PEAK[dim]
+
+
+def test_matrix_oracle_keeps_its_own_matrix():
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sp = dk.WeightedMetricSpace.from_matrix(m)
+    m[0, 1] = -5.0
+    assert sp.distance(0, 1) == 1.0
+    assert sp.oracle.diameter_bound() == 1.0
 
 
 def test_cost_overflow_is_an_input_error():
@@ -251,6 +308,15 @@ def test_aspect_ratio():
     zeros = dk.WeightedMetricSpace.from_matrix(np.zeros((3, 3)))
     with pytest.raises(dk.MetricInputError, match="degenerate"):
         dk.aspect_ratio(zeros)
+
+
+def test_aspect_ratio_asks_every_pair_once_in_row_blocks(monkeypatch):
+    sp = dk.generators.uniform_points(50, seed=3)
+    D = sp.pairwise(sp.all_points(), sp.all_points())
+    monkeypatch.setattr(metric, "_SCAN_CHUNK", 7 * 50)  # 7 rows per block
+    before = sp.oracle.query_count
+    assert dk.aspect_ratio(sp) == D.max() / D[D > 0].min()
+    assert sp.oracle.query_count - before == 50 * 50
 
 
 def test_verify_metric_flags_triangle_violation():
