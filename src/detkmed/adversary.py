@@ -69,8 +69,8 @@ class AdversarySession:
             raise MetricInputError("adversary supports median and means objectives")
         if n < 2:
             raise MetricInputError("adversary needs at least two points")
-        if delta < 1:
-            raise MetricInputError("delta must be at least 1")
+        if not (math.isfinite(delta) and delta >= 1):
+            raise MetricInputError(f"delta must be a finite number of at least 1, got {delta!r}")
         self.n = n
         self.k = check_k(k, n)
         self.delta = delta

@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     params = _parse_params(args.gen_params)
-    space = make_instance(args.kind, args.n, seed=args.seed, **params)
+    space = make_instance(args.kind, args.n, args.seed, **params)
     oracle = space.oracle
     if args.format == "matrix":
         full = oracle.pairwise(space.all_points(), space.all_points())

@@ -3,6 +3,8 @@ algorithm in the package is seed-free, so runs are reproducible end to end."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .metric import MetricInputError, WeightedMetricSpace
@@ -58,7 +60,20 @@ GENERATORS = {
 }
 
 
-def make_instance(kind: str, n: int, seed: int = 0, **params) -> WeightedMetricSpace:
+def make_instance(kind: str, n: int, seed: int | None = None, /,
+                  **params) -> WeightedMetricSpace:
+    """Generator `kind` on n points. The seed (default 0) comes third or as
+    `seed=`, not both; any other key of `params` the generator does not take
+    is an input error, not a TypeError."""
     if kind not in GENERATORS:
         raise MetricInputError(f"unknown generator {kind!r}")
-    return GENERATORS[kind](n, seed=seed, **params)
+    gen = GENERATORS[kind]
+    if seed is not None and "seed" in params:
+        raise MetricInputError("seed given both as an argument and as a parameter")
+    seed = params.pop("seed", 0 if seed is None else seed)
+    takes = [p for p in inspect.signature(gen).parameters if p not in ("n", "seed")]
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise MetricInputError(f"{kind} takes no parameter {', '.join(unknown)}; "
+                               f"it takes {', '.join(takes)}")
+    return gen(n, seed=seed, **params)

@@ -156,8 +156,12 @@ class GreedyState:
         """Id of the nearest alive center of each of run b's universe points."""
         return self.cand[b][self._s1[b]]
 
+    def costs(self) -> np.ndarray:
+        """Every run's current cost, the B of them from one `Objective.total`."""
+        return self.objective.total(self.w, self._d1)
+
     def current_cost(self, b: int = 0) -> float:
-        return self.objective.total(self.w[b], self._d1[b])
+        return float(self.costs()[b])
 
     def clusters(self, b: int = 0) -> dict[int, np.ndarray]:
         """C_S(y): run b's universe points whose nearest alive center is y."""
@@ -198,7 +202,7 @@ class GreedyState:
         self._s1[promoted] = self._s2[promoted]
         self._d1[promoted] = self._d2[promoted]
         self._refresh_second(np.flatnonzero(promoted | (self._s2 == y_slot[:, None])))
-        return self.cand[self._runs, y_slot], np.array([self.current_cost(b) for b in self._runs])
+        return self.cand[self._runs, y_slot], self.costs()
 
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -228,7 +232,7 @@ def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
                         distances=distances)
     obj = state.objective
     eps = means_eps(space.n, k) if k is not None and obj is Objective.MEANS else None
-    initial = current = [state.current_cost(b) for b in range(len(state.cand))]
+    initial = current = state.costs().tolist()
     traces: list[list[RemovalStep]] = [[] for _ in current]
     while state.size > k_prime:
         size_before = state.size

@@ -135,7 +135,7 @@ def bench_sweep(spec: SweepSpec) -> list[RunRecord]:
                 for delta in deltas:
                     if algo == "guha" and delta is not None and delta > max(2, n / k):
                         continue
-                    space = make_instance(spec.generator, n, seed=spec.seed, **params)
+                    space = make_instance(spec.generator, n, spec.seed, **params)
                     instance = f"{spec.generator}-n{n}-seed{spec.seed}"
                     _, rec, _ = run_algorithm(algo, space, k, spec.objective,
                                               delta=delta, instance=instance)

@@ -7,9 +7,11 @@ union of its children's solutions (so every candidate set has size <= 4k),
 one lockstep batch per level and node shape. It asks each pair at most once
 outside the leaves' own squares: a node's matrix is assembled from its
 children's surviving columns plus the two cross blocks, and the root's
-surviving columns are the V x V_0 block that Phase III's sparsifier reads.
+surviving columns are the V x V_0 block that Phase III reads.
 Phase III projects the space onto the <= 2k survivors, accumulates weights,
-and runs the constant-factor local-search solver on that sparsified space.
+and runs the constant-factor local-search solver on that sparsified space;
+the projection and the final nearest-center sweep over the k centers read
+that block, so only the local search asks the oracle.
 """
 
 from __future__ import annotations
@@ -202,16 +204,21 @@ def sparsify(space: WeightedMetricSpace, v0, distances=None) -> SparsifiedSpace:
 
 
 def extract_k(sparsified: SparsifiedSpace, k: int,
-              objective: Objective | str = Objective.MEDIAN) -> Solution:
+              objective: Objective | str = Objective.MEDIAN, distances=None) -> Solution:
     """Run the constant-factor solver on (V_0, w_0, d) and lift the centers
-    back to a solution over the full space."""
+    S back to a solution over the full space. `distances`, the V x V_0 block
+    with V_0 ascending, holds V x S as its S columns and spares the final
+    sweep's n * |S| queries."""
     obj = as_objective(objective)
-    if sparsified.points.size <= k:
-        centers = sparsified.points.tolist()
+    points = sparsified.points
+    if points.size <= k:
+        centers = points.tolist()
     else:
-        inner = local_search_kmedian(sparsified.view(), k, obj, universe=sparsified.points)
+        inner = local_search_kmedian(sparsified.view(), k, obj, universe=points)
         centers = sorted(inner.centers)
-    return build_solution(sparsified.space, centers, obj)
+    if distances is not None:
+        distances = distances[:, np.searchsorted(points, centers)]
+    return build_solution(sparsified.space, centers, obj, distances=distances)
 
 
 @dataclass
@@ -235,7 +242,7 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
         raise RuntimeError("Phase I must not query the oracle")
     v0, root_block = phase2(space, hierarchy, k, obj)
     sparsified = sparsify(space, v0, root_block)
-    solution = extract_k(sparsified, k, obj)
+    solution = extract_k(sparsified, k, obj, root_block)
     return solution, PipelineMetrics(queries=space.oracle.query_count - q0,
                                      hierarchy=hierarchy, sparsified=sparsified)
 

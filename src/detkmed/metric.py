@@ -53,18 +53,21 @@ class Objective(str, Enum):
             return d
         return d * d
 
-    def finalize(self, total: float) -> float:
+    def finalize(self, total):
         if self is Objective.NORMALIZED_MEANS:
-            return math.sqrt(total)
+            return np.sqrt(total) if np.ndim(total) else math.sqrt(total)
         return total
 
-    def total(self, w: np.ndarray, d: np.ndarray) -> float:
-        """Objective value of distances d under weights w. Every cost is
-        formed here; one that overflows float64 is an input error."""
-        value = self.finalize(float(np.dot(w, self.point_cost(d))))
-        if not math.isfinite(value):
+    def total(self, w: np.ndarray, d: np.ndarray):
+        """Objective value of distances d under weights w: a float for one
+        |U| vector, B values for B x |U| blocks, from one `np.vecdot` whose
+        rows are each bit for bit `np.dot`. Every cost is formed here; one
+        that overflows float64 is an input error."""
+        value = self.finalize(np.vecdot(w, self.point_cost(d)))
+        scalar = not np.ndim(value)
+        if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
             raise MetricInputError("cost overflows float64")
-        return value
+        return float(value) if scalar else value
 
 
 def as_objective(obj: "Objective | str") -> Objective:
@@ -375,12 +378,14 @@ def assign_nearest(space: WeightedMetricSpace, centers, universe=None,
 
 
 def build_solution(space: WeightedMetricSpace, centers, objective: Objective | str = Objective.MEDIAN,
-                   universe=None) -> Solution:
-    """Assemble a Solution (assignment + cached cost) with one |S|*|U| sweep."""
+                   universe=None, distances=None) -> Solution:
+    """Assemble a Solution (assignment + cached cost) with one |S|*|U| sweep,
+    which asks nothing when `distances` already holds that block with the
+    centers ascending."""
     obj = as_objective(objective)
     given = tuple(int(c) for c in centers)
     S = np.unique(np.asarray(given, dtype=np.int64))
-    U, idx, dmin = _sweep(space, S, universe, objective=obj)
+    U, idx, dmin = _sweep(space, S, universe, distances, objective=obj)
     return Solution(given, S[idx], obj.total(space.weights[U], dmin), obj, U)
 
 

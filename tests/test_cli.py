@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detkmed.cli import build_parser, main
-from detkmed.generators import uniform_points
+from detkmed.generators import make_instance, uniform_points
 from detkmed.harness import CSV_COLUMNS
 from detkmed.io import (
     load_space,
@@ -182,6 +182,30 @@ def test_means_certificate_roundtrip(tmp_path, matrix_file):
                  "--input", str(matrix_file), "--k", "2"]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--kind", "uniform-points", "--n", "10"],
+    ["bench", "--generator", "uniform-points", "--ns", "10", "--ks", "2"],
+])
+@pytest.mark.parametrize("params,message", [
+    ("bogus=1", "uniform-points takes no parameter bogus"),
+    ("seed=3", "seed given both as an argument and as a parameter"),
+    ("n=5", "uniform-points takes no parameter n"),
+])
+def test_gen_params_reject_keys_the_generator_does_not_take(tmp_path, capsys, command,
+                                                            params, message):
+    out = tmp_path / "out.csv"
+    assert main(command + ["--gen-params", params, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_instance_takes_the_seed_once():
+    a = make_instance("uniform-points", 10, 3, dim=3)
+    b = make_instance("uniform-points", 10, seed=3, dim=3)
+    assert np.array_equal(a.oracle.points, b.oracle.points)
+    assert not np.array_equal(a.oracle.points, make_instance("uniform-points", 10).oracle.points)
+
+
 def test_gen_points_rejects_matrix_generator(tmp_path):
     rc = main(["gen", "--kind", "random-matrix", "--n", "5", "--format", "points",
                "--out", str(tmp_path / "pts.csv")])
@@ -206,6 +230,11 @@ def test_adversary_cli_with_report_and_replay(tmp_path):
     assert main(["verify", "replay", "--report", str(report)]) == 1
     # emitted metric is a valid shortest-path metric
     assert main(["verify", "metric", "--input", str(metric)]) == 0
+
+
+def test_adversary_cli_rejects_nan_delta(capsys):
+    assert main(["adversary", "--n", "64", "--k", "1", "--delta", "nan"]) == 2
+    assert "delta must be a finite number of at least 1, got nan" in capsys.readouterr().err
 
 
 def test_adversary_cli_budget_exit(tmp_path):

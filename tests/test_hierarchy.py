@@ -205,20 +205,23 @@ def _digest(centers, cost, queries, certs):
 # queries alone reads as a number. The queries (and so the digests) were
 # re-recorded when Phase II began asking each pair once (32,732 / 36,784 /
 # 55,034 / 8,504 / 11,264 / 3,178,496 before), with centers, cost and every
-# certificate unchanged.
+# certificate unchanged. Since the final nearest-center sweep reads Phase II's
+# root block, each run asks n*k fewer (13,152 / 14,656 / 22,286 / 3,340 /
+# 4,614 / 1,425,408 before): the query column was re-recorded, and the
+# digest, taken with queries + n*k, still matches the recording.
 GOLDEN_PIPELINE = [
     ("uniform-points", 300, 0, {}, 4, "median",
-     "7cf3a4c05bf25df003c1f047cec21b63b16af6fba906a87b000a85bf4e855458", 13_152),
+     "7cf3a4c05bf25df003c1f047cec21b63b16af6fba906a87b000a85bf4e855458", 11_952),
     ("uniform-points", 256, 1, {"norm": "l1", "unit_weights": False}, 6, "means",
-     "95cb1bad861bf2c25e00123e072e1a055bfccf351760cf27245b47450657e3f4", 14_656),
+     "95cb1bad861bf2c25e00123e072e1a055bfccf351760cf27245b47450657e3f4", 13_120),
     ("clustered-points", 400, 2, {"clusters": 8}, 5, "median",
-     "e02d5b143c75927f4caeac7cb027552abf94c66c4555041fb8a6f2ee5448874b", 22_286),
+     "e02d5b143c75927f4caeac7cb027552abf94c66c4555041fb8a6f2ee5448874b", 20_286),
     ("random-matrix", 120, 3, {}, 3, "median",
-     "af36b4dcfd82562eac9b62cc6a19c1a6384090ebc23bd358add21ecbee04d2b4", 3_340),
+     "af36b4dcfd82562eac9b62cc6a19c1a6384090ebc23bd358add21ecbee04d2b4", 2_980),
     ("random-matrix", 90, 4, {"unit_weights": False}, 7, "means",
-     "a0478452f43676d9edfa64d98691e1df26df0ea73cc0717a481ad26aafa16021", 4_614),
+     "a0478452f43676d9edfa64d98691e1df26df0ea73cc0717a481ad26aafa16021", 3_984),
     ("clustered-points", 2048, 5, {"clusters": 64, "spread": 0.02}, 64, "means",
-     "f632794853343137f523c2ce93989ab7accc3d044dd1e79e422b82d768889cf0", 1_425_408),
+     "f632794853343137f523c2ce93989ab7accc3d044dd1e79e422b82d768889cf0", 1_294_336),
 ]
 
 
@@ -228,7 +231,7 @@ def test_golden_pipeline_digests(gen, n, seed, params, k, objective, digest, que
     sol, met = dk.hierarchical_cluster(sp, k, objective)
     certs = [c for level in met.hierarchy.certificates for c in level if c is not None]
     assert met.queries == queries
-    assert _digest(sol.centers, sol.cost, met.queries, certs) == digest
+    assert _digest(sol.centers, sol.cost, met.queries + n * k, certs) == digest
 
 
 # registry outputs with k < n, the reverse-greedy certificate included
@@ -276,7 +279,9 @@ def _recorded(oracle, weights=None):
 
 def _pipeline_requests(monkeypatch, sp, k, objective):
     """Run hierarchical_cluster and return the requests made up to
-    extraction, those made inside sparsify, and the hierarchy."""
+    extraction, those made inside sparsify, those extraction makes after its
+    local search (or from its start when local search does not run), and the
+    hierarchy."""
     import detkmed.hierarchy as hierarchy
 
     marks = {}
@@ -293,9 +298,12 @@ def _pipeline_requests(monkeypatch, sp, k, objective):
 
     wrap("sparsify")
     wrap("extract_k")
+    wrap("local_search_kmedian")
     _, met = dk.hierarchical_cluster(sp, k, objective)
     reqs = sp.oracle.requests
-    return reqs[:marks["extract_k"]], reqs[marks["sparsify"]:marks["sparsify_end"]], met.hierarchy
+    after_search = marks.get("local_search_kmedian_end", marks["extract_k"])
+    return (reqs[:marks["extract_k"]], reqs[marks["sparsify"]:marks["sparsify_end"]],
+            reqs[after_search:marks["extract_k_end"]], met.hierarchy)
 
 
 @pytest.mark.parametrize("case", ["uniform-l2", "weighted-matrix", "empty-parts"])
@@ -308,8 +316,9 @@ def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
         sp, k, objective = _recorded(_RecordingMatrix(m), rng.uniform(0.5, 2.0, 90)), 7, "means"
     else:
         sp, k, objective = _recorded(_RecordingPoints(rng.uniform(size=(3, 2)))), 1, "median"
-    requests, in_sparsify, h = _pipeline_requests(monkeypatch, sp, k, objective)
+    requests, in_sparsify, after_search, h = _pipeline_requests(monkeypatch, sp, k, objective)
     assert in_sparsify == []
+    assert after_search == []  # the final sweep reads the root block
     leaves = [part for part in h.parts[h.depth] if part.size]
     if case == "empty-parts":
         assert any(part.size == 0 for part in h.parts[h.depth])
@@ -336,6 +345,29 @@ def test_sparsify_without_the_root_block_sweeps_itself():
     assert sp.oracle.query_count - before == sp.n * len(v0)
     assert np.array_equal(swept.sigma, served.sigma)
     assert np.array_equal(swept.weights, served.weights)
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_extract_k_without_the_root_block_sweeps_itself(objective):
+    sp = dk.generators.clustered_points(120, clusters=6, seed=5, unit_weights=False)
+    k = 3
+    h = dk.build_partitions(sp, k)
+    v0, root_block = dk.phase2(sp, h, k, objective)
+    sparsified = dk.sparsify(sp, v0, root_block)
+    q0 = sp.oracle.query_count
+    swept = dk.extract_k(sparsified, k, objective)
+    q1 = sp.oracle.query_count
+    served = dk.extract_k(sparsified, k, objective, root_block)
+    assert (q1 - q0) - (sp.oracle.query_count - q1) == sp.n * k
+    assert served.centers == swept.centers
+    assert np.array_equal(served.assignment, swept.assignment)
+    assert served.cost.hex() == swept.cost.hex()
+    # the sweep alone, served from the block, asks nothing
+    before = sp.oracle.query_count
+    block = root_block[:, np.searchsorted(sparsified.points, sorted(served.centers))]
+    again = dk.build_solution(sp, served.centers, objective, distances=block)
+    assert sp.oracle.query_count == before
+    assert again.cost.hex() == swept.cost.hex()
 
 
 def test_query_constant_at_n_over_k_8():

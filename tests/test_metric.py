@@ -110,6 +110,26 @@ def test_matrix_oracle_keeps_its_own_matrix():
     assert sp.oracle.diameter_bound() == 1.0
 
 
+@pytest.mark.parametrize("objective", list(dk.Objective))
+def test_objective_total_of_a_block_is_each_rows_dot_bit_for_bit(objective):
+    # reverse greedy prices its B runs with one total over B x |U| blocks;
+    # each row's cost must keep the bits of the one-run np.dot it replaced
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        B, n = int(rng.integers(1, 40)), int(rng.integers(1, 3000))
+        w = rng.uniform(0.0, 3.0, size=(B, n)) * 10.0 ** int(rng.integers(-3, 4))
+        d = rng.uniform(0.0, 2.0, size=(B, n)) * 10.0 ** int(rng.integers(-3, 4))
+        costs = objective.total(w, d)
+        assert costs.shape == (B,)
+        for b in range(B):
+            dot = float(np.dot(w[b], objective.point_cost(d[b])))
+            expected = math.sqrt(dot) if objective is dk.Objective.NORMALIZED_MEANS else dot
+            assert float(costs[b]).hex() == objective.total(w[b], d[b]).hex() == expected.hex()
+    w, d = np.ones((3, 2)), np.array([[1.0, 2.0], [1e308, 1e308], [0.0, 0.0]])
+    with pytest.raises(dk.MetricInputError, match="overflow"), np.errstate(over="ignore"):
+        objective.total(w, d)
+
+
 def test_cost_overflow_is_an_input_error():
     with pytest.raises(dk.MetricInputError, match="overflow"):
         dk.WeightedMetricSpace.from_points([[1e308], [-1e308], [0.0]])
