@@ -11,22 +11,27 @@ weight-1 edges between open pairs (of which a shortest path uses at most one,
 so that one edge is materialized when chosen).
 
 The graph is held as one dict per vertex mapping neighbor to weight, plus a
-push counter per vertex (the degree that closes it, repeated virtual edges
-included) and, per vertex, the list of its unit-weight point neighbors in push
-order, which fixes the round-robin order of virtual-edge anchors. Gate edges
-stay out of those lists even at log_M(n) = 1, where M = n: a point then closes
-only after all its n - 1 pairs are answered, so no answer needs a virtual edge
-or a Dijkstra search.
+push counter per vertex (an int: the degree that closes it, repeated virtual
+edges included) and, per vertex, the list of its unit-weight point neighbors
+in push order, which fixes the round-robin order of virtual-edge anchors.
+Every unit edge joins two open vertices, so that list is final once its
+vertex closes, and the close freezes it into a set. Gate edges stay out of
+those lists even at log_M(n) = 1, where M = n: a point then closes only after
+all its n - 1 pairs are answered, so no answer needs a virtual edge or a
+Dijkstra search.
 
-Shortest paths are computed exactly without materializing the open clique:
-the best two-edge path, a best candidate using one virtual edge anchored at
-unit-weight open neighbors, and an enumeration threshold below which those
-candidates are provably exhaustive; only candidates above the threshold fall
-back to a capped Dijkstra that relaxes the open clique once at the first open
-vertex it settles. The two-edge minimum needs no scan in two regimes: 2 when
-the endpoints share a unit neighbor, and the gate route 2L while it costs at
-most one unit edge plus the lightest other edge. Only past that are common
-neighbors enumerated, by intersecting the two vertex maps.
+One routine, `_case3`, gives every shortest path that touches a closed
+vertex, for the live answers and the finalized metric alike, without
+materializing the open clique. It tries in order the direct edge, the best
+two-edge path, the best path through one virtual edge anchored at open unit
+neighbors, and below an enumeration threshold those are provably
+exhaustive; only candidates above it fall back to a capped Dijkstra that
+relaxes the open clique once at the first open vertex it settles. The
+two-edge minimum is 2 when the endpoints share a unit neighbor (one set
+disjointness test against a closed endpoint's frozen set), else the gate
+route 2L while that costs at most one unit edge plus the lightest other
+edge; only past that are common neighbors enumerated, by intersecting the
+two vertex maps.
 """
 
 from __future__ import annotations
@@ -89,18 +94,18 @@ class AdversarySession:
 
         size = n + 1
         L = self.L
-        # gate star, built in bulk. Gate edges stay out of the unit-neighbor
-        # lists even at L == 1.0: there M equals n, so a point closes only
-        # once all its n - 1 pairs are answered, no query meets a closed
-        # endpoint without a direct edge, and no virtual edge is ever sought.
+        # gate star, built in bulk, outside the unit lists (module docstring)
         self._adj: list[dict[int, float]] = [{self.gate: L} for _ in range(n)]
         self._adj.append(dict.fromkeys(range(n), L))
-        self._deg = array("i", [1]) * size
+        self._deg = [1] * size
         self._deg[self.gate] = n
+        # an integer degree reaches M exactly when it reaches ceil(M)
+        self._close_at = math.ceil(self.M)
         self.status = bytearray([1]) * size
         self.status[self.gate] = 0
-        self._unit_cursor = array("i", bytes(4 * size))
-        self._unit_nbrs = [array("i") for _ in range(size)]
+        self._unit_cursor = [0] * size
+        self._unit_nbrs: list[list[int]] = [[] for _ in range(size)]
+        self._unit_set: list[frozenset[int] | None] = [None] * size
         self._qx = array("i")
         self._qy = array("i")
         self._qa = array("d")
@@ -115,19 +120,22 @@ class AdversarySession:
         # a repeated push is always a weight-1 virtual edge between two open
         # vertices: the maps keep one entry, the degree counts both pushes.
         # An endpoint whose degree reaches M closes for good; nothing reads
-        # the status between the pushes of one answer.
-        self._adj[u][v] = w
-        self._adj[v][u] = w
-        deg, M = self._deg, self.M
-        deg[u] += 1
-        deg[v] += 1
-        if deg[u] >= M:
-            self.status[u] = 0
-        if deg[v] >= M:
-            self.status[v] = 0
+        # the status between the pushes of one answer. A closing vertex's
+        # unit list is final (unit edges join open vertices) and is frozen.
+        adj, units, deg = self._adj, self._unit_nbrs, self._deg
+        adj[u][v] = w
+        adj[v][u] = w
         if w == 1.0:
-            self._unit_nbrs[u].append(v)
-            self._unit_nbrs[v].append(u)
+            units[u].append(v)
+            units[v].append(u)
+        du = deg[u] = deg[u] + 1
+        dv = deg[v] = deg[v] + 1
+        if du == self._close_at:
+            self.status[u] = 0
+            self._unit_set[u] = frozenset(units[u])
+        if dv == self._close_at:
+            self.status[v] = 0
+            self._unit_set[v] = frozenset(units[v])
 
     def degree(self, v: int) -> int:
         """Edge pushes at v, repeated virtual edges included; v closes once
@@ -170,50 +178,6 @@ class AdversarySession:
         return -1
 
     # -- exact shortest-path machinery --------------------------------------
-
-    def _two_hop(self, x: int, y: int) -> float:
-        """Exact minimum over materialized two-edge paths (gate included).
-
-        Only a closed point gets here, so L >= 1 (at L < 1, M > n and no
-        degree reaches M): point-point edges weigh 1 or at least 2, and no
-        two-edge path is shorter than 2. Two unit edges give 2.0; every other
-        two-edge path costs at least 3, so the gate route L + L wins up to
-        there. Only beyond that are the common neighbors enumerated.
-        """
-        gate_route = self.L + self.L
-        ax, ay = self._adj[x], self._adj[y]
-        ux, uy = self._unit_nbrs[x], self._unit_nbrs[y]
-        short, other = (ux, ay) if len(ux) <= len(uy) else (uy, ax)
-        if 1.0 in map(other.get, short):
-            return 2.0
-        if gate_route <= 3.0:
-            return gate_route
-        if len(ax) > len(ay):
-            ax, ay = ay, ax
-        return min([ax[m] + ay[m] for m in ax.keys() & ay.keys()])
-
-    def _virtual_candidate(self, x: int, y: int):
-        """Best path using exactly one open-open virtual edge: each endpoint
-        anchors at itself when open, else at an open unit-weight neighbor.
-        Returns (weight, (u, v)) or None. The anchors never coincide: that
-        takes a direct unit edge (an endpoint open) or a shared open unit
-        neighbor (both closed, so `_two_hop` gives 2), and `_case3` builds
-        no candidate once the answer is at or below 2."""
-        if self.status[x]:
-            ax, ua = 0.0, x
-        else:
-            ua = self._find_open_unit_nbr(x)
-            if ua < 0:
-                return None
-            ax = 1.0
-        if self.status[y]:
-            by, vb = 0.0, y
-        else:
-            vb = self._find_open_unit_nbr(y)
-            if vb < 0:
-                return None
-            by = 1.0
-        return ax + 1.0 + by, (ua, vb)
 
     def _dijkstra_hat(self, src: int, dst: int, cap: float):
         """Exact dist in the graph plus the implicit open clique, capped.
@@ -266,18 +230,52 @@ class AdversarySession:
 
     def _case3(self, x: int, y: int):
         """Exact shortest-path distance between two points that are not both
-        open, and the open-open virtual edge the path uses (or None). With
-        L >= 1 (see `_two_hop`) every path below 3 is the direct edge, a
-        two-edge path or a one-virtual-edge path anchored at unit neighbors,
-        all enumerated exactly, so a candidate of at most 3 is final. The
-        virtual candidate is only built once those paths miss 2: building it
-        advances the round-robin anchors, which later answers depend on."""
-        best = min(self._adj[x].get(y, math.inf), self._two_hop(x, y))
+        open, and the open-open virtual edge the path uses (or None).
+
+        Only a closed point gets here, so L >= 1 (at L < 1, M > n and no
+        degree reaches M): point-point edges weigh 1 or at least 2. A
+        two-edge path through a point costs 2 over two unit edges, else at
+        least 3, so the gate route 2L is the two-edge minimum up to 3. Every
+        path below 3 is the direct edge (+inf for a fresh pair), a two-edge
+        path or one virtual edge between the endpoints or their open unit
+        neighbors, so a candidate of at most 3 is final. The virtual
+        candidate is only built once the others miss 2: building it advances
+        the round-robin anchors, which later answers depend on. Its anchors
+        never coincide: that takes a direct unit edge or a shared open unit
+        neighbor, both answered 2 or less before.
+        """
+        ax, ay = self._adj[x], self._adj[y]
+        best = ax.get(y, math.inf)
+        sx, sy = self._unit_set[x], self._unit_set[y]
+        if sx is None:
+            shared = not sy.isdisjoint(self._unit_nbrs[x])
+        elif sy is None:
+            shared = not sx.isdisjoint(self._unit_nbrs[y])
+        else:
+            shared = not sx.isdisjoint(sy)
+        if shared:
+            return min(best, 2.0), None
+        gate_route = self.L + self.L
+        if gate_route <= 3.0:
+            best = min(best, gate_route)
+        else:
+            if len(ax) > len(ay):
+                ax, ay = ay, ax
+            best = min(best, min([ax[m] + ay[m] for m in ax.keys() & ay.keys()]))
         virt = None
         if best > 2.0:
-            cand = self._virtual_candidate(x, y)
-            if cand is not None and cand[0] < best:
-                best, virt = cand
+            status = self.status
+            if status[x]:
+                ua, cand = x, 1.0
+            else:
+                ua, cand = self._find_open_unit_nbr(x), 2.0
+            if ua >= 0:
+                if status[y]:
+                    vb = y
+                else:
+                    vb, cand = self._find_open_unit_nbr(y), cand + 1.0
+                if vb >= 0 and cand < best:
+                    best, virt = cand, (ua, vb)
         if best <= 3.0:
             return best, virt
         d, dvirt = self._dijkstra_hat(x, y, best)

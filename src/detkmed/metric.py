@@ -122,6 +122,8 @@ class DistanceOracle:
 
     def distance(self, i: int, j: int) -> float:
         """One pair, counted once, from the same kernel as pairwise."""
+        if not (0 <= i < self._n and 0 <= j < self._n):
+            raise MetricInputError(f"point ids ({i}, {j}) outside [0, {self._n})")
         self._bump(1)
         ids = np.array((i, j), dtype=np.int64)
         return float(self._pairwise(ids[:1], ids[1:])[0, 0])

@@ -237,7 +237,13 @@ def test_c08_adversary_audits():
                 violations.append(f"{objective} n={n}: unexpectedly trivial")
             violations.extend(f"{objective} n={n} k={k} d={delta}: {v}"
                               for v in a.violations)
-            summaries.append(f"{objective[:3]}(n={n},k={k},d={delta:g}):r={a.r}")
+            # the regime: a ratio bound below 1 cannot fail, and queries past
+            # n*k*delta leave the closed-node and witness lemmas unchecked
+            bound_note = "< 1, cannot fail" if a.ratio_bound < 1 else ">= 1"
+            summaries.append(
+                f"{objective[:3]}(n={n},k={k},d={delta:g}): r={a.r}, "
+                f"ratio bound {a.ratio_bound:.3g} ({bound_note}), "
+                f"queries {a.algo_queries / a.nominal_budget:.1f}x n*k*delta")
     # exhaustive final-metric verification on a small run
     small = run_against(adversary_algorithm("hierarchical"), 256, 2, 1.0)
     violations.extend(f"n=256: {v}" for v in small.audit.violations)

@@ -90,18 +90,27 @@ def test_statuses_never_reopen_and_m_threshold():
     n = 128
     sess = AdversarySession(n, 1, 1.0)
     was_closed = set()
+    # unit list of each closed point as it closed: it never grows after, so
+    # it stays equal to the set the close froze
+    at_close = {}
     rng = np.random.default_rng(0)
+    # 24 hubs against every point: uniform pairs close no point (M = 70)
     for _ in range(2500):
-        x, y = rng.integers(0, n, 2)
+        x, y = int(rng.integers(0, 24)), int(rng.integers(0, n))
         if x == y:
             continue
-        sess.answer_query(int(x), int(y))
+        sess.answer_query(x, y)
         now_closed = {v for v in range(n) if not sess.status[v]}
         assert was_closed <= now_closed
         was_closed = now_closed
         for v in range(n):
             if sess.status[v]:
                 assert sess.degree(v) < sess.M + 2
+            else:
+                units = at_close.setdefault(v, list(sess._unit_nbrs[v]))
+                assert sess._unit_nbrs[v] == units
+                assert sess._unit_set[v] == set(units)
+    assert len(at_close) > 20
 
 
 def _check_against_materialized_oracle(sess):
@@ -515,10 +524,10 @@ def test_golden_local_search_transcript():
         "36223d037672d37c311b8fe0c773ac1810f9880f2fa82a4761f4c86f92ac563c")
 
 
-def test_two_hop_matches_brute_force_in_scan_regime():
+def test_case3_matches_hat_graph_in_scan_regime():
     n = 1024
     sess = AdversarySession(n, 1, 1.0)
-    assert 1.5 < sess.L < 1.51  # 2L exceeds 1 + 2, so the two-hop scans
+    assert 1.5 < sess.L < 1.51  # 2L exceeds 1 + 2, so the two-edge minimum scans
     rng = np.random.default_rng(17)
     # 40 hubs queried against random points close; queries among the first
     # 200 points then add heavy edges at the closed hubs
@@ -534,14 +543,23 @@ def test_two_hop_matches_brute_force_in_scan_regime():
     adj = [{} for _ in range(n + 1)]
     for u, v, w in sess.edges():
         adj[u][v] = adj[v][u] = w
+    G = build_hat_graph(sess)
     seen = set()
-    for _ in range(3000):
+    checked = scanned = 0
+    for i in range(3000):
         x, y = (int(v) for v in rng.integers(0, 200, 2))
         if x == y:
             continue
-        brute = min(w + adj[y][m] for m, w in adj[x].items() if m in adj[y])
-        assert sess._two_hop(x, y) == brute
-        seen.add(brute)
+        two_edge = min(w + adj[y][m] for m, w in adj[x].items() if m in adj[y])
+        seen.add(two_edge)
+        # networkx on the open clique is slow: of the pairs with a closed
+        # endpoint, every one that scans (no shared unit neighbor, so the
+        # two-edge minimum exceeds 2) and every fiftieth of the rest
+        if not (sess.status[x] and sess.status[y]) and (two_edge > 2.0 or i % 50 == 0):
+            assert sess._case3(x, y)[0] == nx.bidirectional_dijkstra(G, x, y)[0]
+            checked += 1
+            scanned += two_edge > 2.0
+    assert checked > 40 and scanned > 20
     # unit-unit, unit-heavy and gate routes all occur among the samples
     assert {2.0, 3.0, 2 * sess.L} <= seen
 

@@ -55,6 +55,23 @@ def test_distance_equals_pairwise_bit_for_bit():
         assert np.array_equal(single, sp.pairwise(U, U))
 
 
+def test_distance_rejects_ids_out_of_range_before_counting():
+    from detkmed.adversary import AdversaryOracle, AdversarySession
+
+    n = 6
+    spaces = [line_space(range(n)),
+              dk.WeightedMetricSpace.from_matrix(
+                  np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)),
+              dk.WeightedMetricSpace(AdversaryOracle(AdversarySession(n, 1, 1.0)),
+                                     np.ones(n))]
+    for sp in spaces:
+        for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-n - 1, 2)):
+            with pytest.raises(dk.MetricInputError, match="outside"):
+                sp.distance(i, j)
+        assert sp.oracle.query_count == 0
+        assert sp.distance(n - 1, 0) == sp.distance(0, n - 1)
+
+
 def _reference_pairwise(points, rows, cols, norm):
     """The point kernel before it went one coordinate at a time: a
     (rows, cols, dim) difference tensor summed over its last axis."""
