@@ -3,7 +3,6 @@ objectives, and the brute-force optimum used as the testing oracle."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -121,9 +120,12 @@ class DistanceOracle:
             self._count += amount
 
     def distance(self, i: int, j: int) -> float:
-        """One pair, counted once, from the same kernel as pairwise."""
-        if not (0 <= i < self._n and 0 <= j < self._n):
-            raise MetricInputError(f"point ids ({i}, {j}) outside [0, {self._n})")
+        """One pair of integer ids (numpy integers too), counted once, from the
+        same kernel as pairwise."""
+        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
+                and 0 <= i < self._n and 0 <= j < self._n):
+            raise MetricInputError(
+                f"point ids ({i}, {j}) not integers or outside [0, {self._n})")
         self._bump(1)
         ids = np.array((i, j), dtype=np.int64)
         return float(self._pairwise(ids[:1], ids[1:])[0, 0])
@@ -179,7 +181,11 @@ class PointsOracle(DistanceOracle):
         if not np.isfinite(points).all():
             raise MetricInputError("point coordinates must be finite")
         super().__init__(points.shape[0])
-        self._p = points
+        # a read-only coordinate-major copy: one contiguous row per coordinate
+        # for the kernel and diameter_bound, and changing the caller's array
+        # must not change validated answers
+        self._c = np.array(points.T, order="C")
+        self._c.flags.writeable = False
         self.norm = norm
         if not math.isfinite(self.diameter_bound()):
             # no pair distance exceeds the bound, so every distance is finite
@@ -187,61 +193,47 @@ class PointsOracle(DistanceOracle):
 
     @property
     def points(self) -> np.ndarray:
-        return self._p
+        return self._c.T
 
     def diameter_bound(self) -> float:
         """No distance exceeds this: the bounding box's diagonal in the
         kernel's own arithmetic; the constructor rejects a point set where it
         overflows. Makes no query and raises no warning."""
-        # one contiguous row per coordinate: axis 0 of a thin n x dim array reduces ~10x slower
-        cols = np.ascontiguousarray(self._p.T)
         with np.errstate(over="ignore"):
-            span = cols.max(axis=1) - cols.min(axis=1)
+            span = self._c.max(axis=1) - self._c.min(axis=1)
             return float(span.sum() if self.norm == "l1" else np.sqrt((span * span).sum()))
 
     def _pairwise(self, rows, cols):
         """The block one coordinate plane at a time, adding the terms |x - y| or
         (x - y)^2 in numpy's order for a contiguous axis, so the bits are those of
         summing a (rows, cols, dim) tensor of them, without the tensor: below 8
-        coordinates left to right; up to 128 in lanes r[j] = t[j] + t[j+8] + ...
-        combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
-        right; above 128 in halves split at dim/2 rounded down to a multiple of 8."""
+        coordinates left to right; up to 128 in eight lanes r[j] = t[j] + t[j+8]
+        + ..., summed in place and combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+        then the rest left to right; above 128 in halves split at dim/2 rounded
+        down to a multiple of 8. The sum goes straight into the output block."""
         out = np.empty((rows.size, cols.size))
-        b = self._p.take(cols, 0).T[:, None]
+        b = self._c.take(cols, 1)[:, None]
         # row chunks of at most _SCAN_CHUNK term elements share one buffer,
         # as a fresh multi-megabyte one per chunk would fault its pages in again
         step = max(1, _SCAN_CHUNK // max(1, b.size))
-        planes = np.empty((min(len(b), 16) + 1, min(step, rows.size), cols.size))
+        planes = np.empty((min(len(b), 16), min(step, rows.size), cols.size))
         l1 = self.norm == "l1"
-        finish = np.positive if l1 else np.sqrt  # np.positive is an exact copy
         for lo in range(0, rows.size, step):
             block = out[lo : lo + step]
             if len(block) < planes.shape[1]:  # the short last chunk
                 planes = planes[:, : len(block)]
-            a = self._p.take(rows[lo : lo + step], 0).T[:, :, None]
-            _coordinate_sum(a, b, l1, planes, planes[-1])
-            finish(planes[-1], block)
+            a = self._c.take(rows[lo : lo + step], 1)[:, :, None]
+            _coordinate_sum(a, b, l1, planes, block)
+            if not l1:
+                np.sqrt(block, block)
         return out
-
-
-@functools.lru_cache(maxsize=None)
-def _lane_order(n: int) -> np.ndarray:
-    """The coordinate order of n <= 128 terms: each full group of eight
-    bit-reversed (0 4 2 6 1 5 3 7), so that each level of the lane combine
-    adds one half of the planes to the other."""
-    order = np.arange(n)
-    order[: n - n % 8] = order[: n - n % 8].reshape(-1, 2, 2, 2).transpose(0, 3, 2, 1).ravel()
-    order.flags.writeable = False
-    return order
 
 
 def _coordinate_sum(a, b, l1: bool, planes: np.ndarray, acc: np.ndarray) -> None:
     """Write into acc the sum of |a - b| (l1) or (a - b)^2 over the first
     axis, in the order `PointsOracle._pairwise` states. a is (n, R, 1) and b
-    is (n, 1, C); planes holds at least min(n, 16) (R, C) work planes
-    before acc."""
+    is (n, 1, C); planes holds at least min(n, 16) (R, C) work planes."""
     n = len(a)
-    body = n - n % 8
     if n > 128:
         half = n // 2 - n // 2 % 8
         rest = np.empty_like(acc)
@@ -254,20 +246,20 @@ def _coordinate_sum(a, b, l1: bool, planes: np.ndarray, acc: np.ndarray) -> None
         t = np.subtract(a[lo:hi], b[lo:hi], planes[at : at + hi - lo])
         return np.abs(t, t) if l1 else np.multiply(t, t, t)
 
-    if body:
-        a, b = a.take(_lane_order(n), 0), b.take(_lane_order(n), 0)
-    t = terms(0, n if n < 16 else 8, 0)  # below 16 terms the tail comes along
-    for lo in range(8, body, 8):  # from 16 terms on, when t is the eight lanes
-        t += terms(lo, lo + 8, 8)
-    if body:
-        if n >= 16:
-            terms(body, n, 8)
-        np.add(planes[4:8], planes[:4], planes[4:8])  # lanes sit as 0 4 2 6 1 5 3 7
-        np.add(planes[6:8], planes[4:6], planes[6:8])
-        t = planes[6 : 8 + n - body]  # the combine's two halves, then the tail
-    np.add(t[0] if n else 0.0, t[1] if len(t) > 1 else 0.0, acc)  # 0.0 + t0 is t0 >= 0
-    for j in range(2, len(t)):
-        acc += t[j]
+    if n < 8:  # a reduction over a leading axis adds its slices left to right
+        np.add.reduce(terms(0, n, 0), axis=0, out=acc)
+        return
+    body = n - n % 8
+    lanes = terms(0, n if n < 16 else 8, 0)[:8]  # below 16 terms the tail comes along
+    for lo in range(8, body, 8):
+        lanes += terms(lo, lo + 8, 8)
+    if n >= 16:
+        terms(body, n, 8)
+    lanes[0::2] += lanes[1::2]  # lanes 0 2 4 6 now hold r0+r1, r2+r3, r4+r5, r6+r7
+    lanes[0::4] += lanes[2::4]
+    np.add(lanes[0], lanes[4], acc)
+    for t in planes[8 : 8 + n - body]:
+        acc += t
 
 
 @dataclass
@@ -279,7 +271,9 @@ class WeightedMetricSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        # a read-only copy: changing the caller's array must not change validated weights
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.weights.flags.writeable = False
         if self.weights.shape != (self.oracle.n,):
             raise MetricInputError("weight vector length must equal point count")
         if not np.all((self.weights >= 0) & (self.weights < np.inf)):

@@ -65,7 +65,7 @@ def test_distance_rejects_ids_out_of_range_before_counting():
               dk.WeightedMetricSpace(AdversaryOracle(AdversarySession(n, 1, 1.0)),
                                      np.ones(n))]
     for sp in spaces:
-        for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-n - 1, 2)):
+        for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-n - 1, 2), (1.5, 0), (0, 2.0)):
             with pytest.raises(dk.MetricInputError, match="outside"):
                 sp.distance(i, j)
         assert sp.oracle.query_count == 0
@@ -81,7 +81,7 @@ def _reference_pairwise(points, rows, cols, norm):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-@pytest.mark.parametrize("dim", [*range(1, 13), 16, 127, 128, 129, 300])
+@pytest.mark.parametrize("dim", [*range(1, 18), 23, 24, 25, 127, 128, 129, 136, 300])
 def test_point_kernel_matches_the_broadcast_kernel_bit_for_bit(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     points = rng.normal(size=(40, dim)) * rng.choice([1e-3, 1.0, 1e3], size=dim)
@@ -125,6 +125,13 @@ def test_matrix_oracle_keeps_its_own_matrix():
     m[0, 1] = -5.0
     assert sp.distance(0, 1) == 1.0
     assert sp.oracle.diameter_bound() == 1.0
+    # the point oracle and the space's weights keep their own copies too
+    pts, w = np.array([[0.0], [1.0], [2.0]]), np.ones(3)
+    sp = dk.WeightedMetricSpace.from_points(pts, w)
+    pts[1, 0], w[0] = np.nan, -5.0
+    assert sp.distance(0, 1) == 1.0
+    assert sp.oracle.diameter_bound() == 2.0
+    assert dk.cost(sp, [2]) == 3.0
 
 
 @pytest.mark.parametrize("objective", list(dk.Objective))
