@@ -241,11 +241,12 @@ def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
         for trace, y, before, c in zip(traces, removed.tolist(), current, after):
             trace.append(RemovalStep(y, size_before, before, c))
         current = after
-    return [(Solution(tuple(state.centers(b)), state.nearest(b), current[b], obj,
-                      state.universe[b]),
-             BoundCertificate(tuple(state.cand[b].tolist()), k_prime, state.universe.shape[1],
-                              obj, trace, initial[b], current[b], k, eps))
-            for b, trace in enumerate(traces)]
+    centers = state.cand[state.alive].reshape(len(traces), -1).tolist()  # alive, ascending
+    nearest = np.take_along_axis(state.cand, state._s1, 1)
+    return [(Solution(tuple(c), ids, cost, obj, U),
+             BoundCertificate(tuple(cand), k_prime, U.size, obj, trace, init, cost, k, eps))
+            for c, ids, cost, U, cand, trace, init in zip(
+                centers, nearest, current, state.universe, state.cand.tolist(), traces, initial)]
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,

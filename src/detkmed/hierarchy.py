@@ -3,15 +3,17 @@ restricted reverse-greedy solves, sparsifier extraction down to k centers.
 
 Phase I builds the refinement tree without touching the oracle. Phase II
 walks it bottom-up, running Res-Greedy_{2k} on each part restricted to the
-union of its children's solutions (so every candidate set has size <= 4k),
-one lockstep batch per level and node shape. It asks each pair at most once
-outside the leaves' own squares: a node's matrix is assembled from its
-children's surviving columns plus the two cross blocks, and the root's
-surviving columns are the V x V_0 block that Phase III reads.
-Phase III projects the space onto the <= 2k survivors, accumulates weights,
-and runs the constant-factor local-search solver on that sparsified space;
-the projection and the final nearest-center sweep over the k centers read
-that block, so only the local search asks the oracle.
+union of its children's solutions (so every candidate set has size <= 4k).
+A level's parts of one size share one shape, and each such group is built,
+solved in one lockstep batch and unpacked by array operations; only the
+requests run per node, in node order. It asks each pair at most once outside
+the leaves' own squares: a node's matrix is assembled from its children's
+surviving columns plus the two cross blocks, and the root's surviving
+columns are the V x V_0 block that Phase III reads. Phase III projects the
+space onto the <= 2k survivors, accumulates weights, and runs the
+constant-factor local-search solver on that sparsified space; the projection
+and the final nearest-center sweep read that block, so only the local search
+asks the oracle.
 """
 
 from __future__ import annotations
@@ -101,74 +103,80 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
     return PartitionHierarchy(n=n, k=k, depth=depth, parts=levels)
 
 
-def _cross_block(space: WeightedMetricSpace, a: np.ndarray, b: np.ndarray,
-                 left: tuple[np.ndarray, np.ndarray],
-                 right: tuple[np.ndarray, np.ndarray] | None, D: np.ndarray) -> None:
-    """Write into D the |X| x |R| matrix of the node X = a ++ b with
-    candidates R = c(a) ++ c(b), from each child's (centers, surviving
-    columns) pair. Asks a x c(b), then (b minus c(b)) x c(a), each row-major;
-    the c(b) x c(a) rows are the transpose of a x c(b)'s c(a) rows (every
-    oracle answers d(x, y) and d(y, x) alike). Parts are ascending id ranges,
-    so an id's row is its offset from the part's first id."""
-    ca, da = left
-    na, ma = a.size, ca.size
-    D[:na, :ma] = da
-    if b.size == 0:
-        return
-    cb, db = right
-    D[na:, ma:] = db
-    D[:na, ma:] = upper = space.pairwise(a, cb)
-    lower = D[na:, :ma]
-    kept = cb - b[0]
-    if kept.size < b.size:
-        rest = np.ones(b.size, dtype=bool)
-        rest[kept] = False
-        lower[rest] = space.pairwise(b[rest], ca)
-    lower[kept] = upper[ca - a[0]].T
+def _survivors(group, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centers and surviving columns of a solved group's runs `rows`, the
+    columns by one take over the flat block."""
+    C, D, kept = group
+    if kept is None:
+        return C[rows], D[rows]
+    at = ((rows * D.shape[1])[:, None] + np.arange(D.shape[1])) * D.shape[2]
+    return C[rows], D.reshape(-1).take(at[..., None] + kept[rows][:, None])
 
 
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
            objective: Objective | str = Objective.MEDIAN) -> tuple[list[int], np.ndarray]:
     """Phase II. Fills hierarchy.centers / certificates and returns V_0 with
-    the V x V_0 block that sparsify reads (centers ascending). A level makes
-    its requests in node order: each leaf asks its X x X square, each
-    internal node fills its matrix with _cross_block and drops its children's
-    blocks. Each node writes into its slot of one preallocated B x |X| x |R|
-    array per shape; greedy makes no query, so each shape then runs as one
-    `res_greedy_batch`."""
+    the V x V_0 block that sparsify reads (centers ascending). Parts are
+    ascending id ranges and a part's subtree depends only on its size, so a
+    level's parts of one size form a group: array operations build its
+    B x |X| x |R| block from the children's surviving columns, one
+    `res_greedy_batch` solves it and its survivors' slots are kept. Only the
+    requests run per node, in node order: a leaf asks X x X; a node X = a ++ b,
+    R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a), and its
+    c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is symmetric)."""
     obj = as_objective(objective)
-    depth = hierarchy.depth
     hierarchy.centers = [[[] for _ in level] for level in hierarchy.parts]
     hierarchy.certificates = [[None for _ in level] for level in hierarchy.parts]
-    below: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for i in range(depth, -1, -1):
+    below, row = {}, None  # part size -> (centers, block, surviving slots) a level down
+    for i in range(hierarchy.depth, -1, -1):
         parts = hierarchy.parts[i]
-        # a leaf's candidates are its part, a node's its children's survivors
-        restriction = {j: part if i == depth else np.concatenate(
-                           [c[0] for c in below[2 * j:2 * j + 2] if c is not None])
-                       for j, part in enumerate(parts) if part.size}
-        groups: dict[tuple[int, int], list[int]] = {}
-        for j, R in restriction.items():
-            groups.setdefault((parts[j].size, R.size), []).append(j)
-        blocks = {shape: np.empty((len(js), *shape)) for shape, js in groups.items()}
-        slot = {j: blocks[shape][t] for shape, js in groups.items() for t, j in enumerate(js)}
-        for j in restriction:
-            if i == depth:
-                slot[j][...] = space.pairwise(parts[j], parts[j])
-            else:
-                a, b = hierarchy.parts[i + 1][2 * j:2 * j + 2]
-                _cross_block(space, a, b, below[2 * j], below[2 * j + 1], slot[j])
-                below[2 * j] = below[2 * j + 1] = None
-        below = [None] * len(parts)
-        for shape, js in groups.items():
-            runs = res_greedy_batch(space, np.stack([restriction[j] for j in js]), 2 * k, obj,
-                                    np.stack([parts[j] for j in js]), k=k,
-                                    distances=blocks[shape])
-            for j, (solution, hierarchy.certificates[i][j]) in zip(js, runs):
+        ids, sizes = np.concatenate(parts), np.array([part.size for part in parts])
+        nodes, kid_row, row = np.flatnonzero(sizes), row, np.zeros_like(sizes)
+        groups, asks = {}, {}
+        for s in np.unique(sizes[nodes]).tolist():
+            js = np.flatnonzero(sizes == s)
+            B, row[js] = js.size, np.arange(js.size)
+            X = ids[(np.cumsum(sizes) - sizes)[js, None] + np.arange(s)]  # the parts
+            if i == hierarchy.depth:
+                D = np.empty((B, s, s))
+                groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)]
+                continue
+            na, nb = (s + 1) // 2, s // 2
+            ma, mb = below[na][0].shape[1], below[nb][0].shape[1] if nb else 0
+            D = np.empty((B, s, ma + mb))
+            Ca, D[:, :na, :ma] = _survivors(below[na], kid_row[2 * js])
+            if nb == 0:  # a single point: its child's center and column
+                groups[s], asks[s] = (js, X, Ca, D, None), []
+                continue
+            Cb, D[:, na:, ma:] = _survivors(below[nb], kid_row[2 * js + 1])
+            kept = Cb - X[:, na:na + 1]  # the rows of c(b) in b, then those of b minus c(b)
+            rest = np.delete(np.tile(np.arange(nb), B), kept + nb * row[js, None]).reshape(B, -1)
+            groups[s] = js, X, np.concatenate([Ca, Cb], axis=1), D, (Ca - X[:, :1], kept, rest)
+            # (b minus c(b)) x c(a) lands in b's first rows, to move to its own
+            asks[s] = [(D[:, :na, ma:], X[:, :na], Cb)] + [
+                (D[:, na:s - mb, :ma], rest + X[:, na:na + 1], Ca)] * (nb > mb)
+        below = None  # every surviving column now sits in its parent's block
+        for s, t in zip(sizes[nodes].tolist(), row[nodes].tolist()):
+            for out, rows, cols in asks[s]:
+                out[t] = space.pairwise(rows[t], cols[t])
+        below = {}
+        for s, (js, X, R, D, fill) in groups.items():
+            at = np.arange(js.size)[:, None]
+            if fill is not None:
+                ca, kept, rest = fill
+                na, ma = (s + 1) // 2, ca.shape[1]
+                # b's first rows move to their own (numpy copies the overlap first)
+                D[:, na:, :ma][at, rest] = D[:, na:na + rest.shape[1], :ma]
+                D[:, na:, :ma][at, kept] = D[:, :na, ma:][at, ca].transpose(0, 2, 1)
+            runs = res_greedy_batch(space, R, 2 * k, obj, X, k=k, distances=D)
+            for j, (solution, hierarchy.certificates[i][j]) in zip(js.tolist(), runs):
                 hierarchy.centers[i][j] = list(solution.centers)
-                kept = np.searchsorted(restriction[j], solution.centers)
-                below[j] = restriction[j][kept], slot[j][:, kept]
-    return hierarchy.centers[0][0], below[0][1]
+            below[s] = R, D, None  # a zero-step run keeps every slot
+            if R.shape[1] > 2 * k:  # R's rows, each offset by n * its row, ascend end to end
+                C = np.array([hierarchy.centers[i][j] for j in js.tolist()])
+                slots = np.searchsorted((R + space.n * at).ravel(), C + space.n * at)
+                below[s] = C, D, slots - R.shape[1] * at
+    return hierarchy.centers[0][0], _survivors(below[hierarchy.n], np.zeros(1, dtype=int))[1][0]
 
 
 @dataclass

@@ -174,8 +174,9 @@ class PointsOracle(DistanceOracle):
 
     def __init__(self, points: np.ndarray, norm: str = "l2"):
         points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
+        points = points[:, None] if points.ndim == 1 else points
+        if points.ndim != 2:
+            raise MetricInputError("points must be a 1-D or 2-D coordinate array")
         if norm not in ("l1", "l2"):
             raise MetricInputError(f"unknown norm {norm!r}")
         if not np.isfinite(points).all():

@@ -371,13 +371,24 @@ def test_audit_session_within_budget(algo, n, k, delta, queries):
     # Runs inside the n*k*delta allowance, so the witness and closed-node
     # lemmas are checked under their premise and the paper's edge bound
     # 2*nominal + 2nk + n runs. Both runs have r = 0: a within-budget run with
-    # r >= 1 needs M <= n and delta >~ 1.4 * (log2(n/k) + 2), out of reach at
-    # test sizes.
+    # r >= 1 needs M <= n and delta >~ 1.4 * (log2(n/k) + 2); the run below
+    # has it at n = 8192.
     audit = run_against(adversary_algorithm(algo), n, k, delta).audit
     assert audit.algo_queries == queries <= audit.nominal_budget == n * k * delta
     assert audit.within_budget and audit.r == 0
     assert audit.passed, audit.violations
     assert audit.edges_total <= 2 * audit.nominal_budget + 2 * n * k + n
+
+
+def test_lemmas_checked_under_their_premise_at_r_1():
+    # hierarchical median inside its n*k*delta allowance with r = 1, so the
+    # closed-node and witness lemmas are checked, not excused as over budget
+    audit = run_against(adversary_algorithm("hierarchical"), 8192, 2, 22.0).audit
+    assert audit.algo_queries == 344_098 <= audit.nominal_budget == 360_448
+    assert audit.within_budget and audit.r == 1 and not audit.trivial_regime
+    assert audit.passed, audit.violations
+    assert audit.closed_nodes == 8 <= audit.closed_bound == pytest.approx(630.1538461538462)
+    assert audit.witness_cost == 8190.0 <= audit.witness_bound == 24_576.0
 
 
 def test_run_against_deterministic():

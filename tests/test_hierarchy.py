@@ -306,16 +306,23 @@ def _pipeline_requests(monkeypatch, sp, k, objective):
             reqs[after_search:marks["extract_k_end"]], met.hierarchy)
 
 
+def _request_case(case):
+    """A recorded space, k and objective: uniform l2 points (300, or 1030 in
+    ragged depth-10 levels), a weighted 90-point matrix, or 3 points whose
+    hierarchy has empty parts."""
+    rng = np.random.default_rng(31)
+    if case.startswith("uniform"):
+        n, k = (1030, 2) if case == "uniform-1030" else (300, 4)
+        return _recorded(_RecordingPoints(rng.uniform(size=(n, 2)))), k, "median"
+    if case == "weighted-matrix":
+        m = dk.generators.random_matrix(90, seed=4).oracle.pairwise(np.arange(90), np.arange(90))
+        return _recorded(_RecordingMatrix(m), rng.uniform(0.5, 2.0, 90)), 7, "means"
+    return _recorded(_RecordingPoints(rng.uniform(size=(3, 2)))), 1, "median"
+
+
 @pytest.mark.parametrize("case", ["uniform-l2", "weighted-matrix", "empty-parts"])
 def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
-    rng = np.random.default_rng(31)
-    if case == "uniform-l2":
-        sp, k, objective = _recorded(_RecordingPoints(rng.uniform(size=(300, 2)))), 4, "median"
-    elif case == "weighted-matrix":
-        m = dk.generators.random_matrix(90, seed=4).oracle.pairwise(np.arange(90), np.arange(90))
-        sp, k, objective = _recorded(_RecordingMatrix(m), rng.uniform(0.5, 2.0, 90)), 7, "means"
-    else:
-        sp, k, objective = _recorded(_RecordingPoints(rng.uniform(size=(3, 2)))), 1, "median"
+    sp, k, objective = _request_case(case)
     requests, in_sparsify, after_search, h = _pipeline_requests(monkeypatch, sp, k, objective)
     assert in_sparsify == []
     assert after_search == []  # the final sweep reads the root block
@@ -332,6 +339,27 @@ def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
         duplicates += len(pairs & seen)
         seen |= pairs
     assert duplicates == 0
+
+
+REQUEST_SEQUENCE_PINS = [
+    # (case, rectangles requested, sha256 of their (sizes, rows, cols) in order)
+    ("uniform-1030", 2178, "3155c9f8a3a79f854479b34ea10a26c87611d81f3a2e708c021c4cb7db0d1e16"),
+    ("weighted-matrix", 40, "e5eef4b65679a432b472491a65e0c25f73edb4d18a22284031dc785d6d8a04c7"),
+    ("empty-parts", 9, "1472f9047559cc0f6e98f521e4338923baa18638c00aafe2cc6cea4e57083e95"),
+]
+
+
+@pytest.mark.parametrize("case,count,digest", REQUEST_SEQUENCE_PINS)
+def test_pipeline_request_sequence_is_pinned(case, count, digest):
+    # every rectangle the pipeline requests, in order
+    sp, k, objective = _request_case(case)
+    dk.hierarchical_cluster(sp, k, objective)
+    h = hashlib.sha256()
+    for rows, cols in sp.oracle.requests:
+        h.update(np.array([rows.size, cols.size], dtype=np.int64).tobytes())
+        h.update(rows.astype(np.int64).tobytes())
+        h.update(cols.astype(np.int64).tobytes())
+    assert (len(sp.oracle.requests), h.hexdigest()) == (count, digest)
 
 
 def test_sparsify_without_the_root_block_sweeps_itself():

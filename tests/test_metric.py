@@ -170,6 +170,15 @@ def test_points_oracle_rejects_an_overflowing_diagonal():
     assert oracle.distance(0, 1) == oracle.diameter_bound() == 1.2e154
 
 
+def test_points_oracle_rejects_other_shapes_at_construction():
+    # before any query: a 3-D array failed at the first request, a scalar at
+    # the point count
+    for bad in (np.zeros((3, 2, 2)), np.float64(5.0)):
+        with pytest.raises(dk.MetricInputError, match="1-D or 2-D"):
+            dk.PointsOracle(bad)
+    assert dk.PointsOracle(np.zeros(3)).pairwise([0], [1]).shape == (1, 1)
+
+
 # point sets whose bounding-box diagonal overflows: rejected at construction
 DIAGONAL_OVERFLOWS = ([[1e308], [-1e308], [0.0]], [[1e200], [-1e200], [0.0]])
 
