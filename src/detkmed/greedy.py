@@ -168,12 +168,6 @@ class GreedyState:
         ids = self.nearest(b)
         return {c: self.universe[b][ids == c] for c in self.centers(b)}
 
-    def neighbor_list(self, x_row: int, b: int = 0) -> list[tuple[int, float]]:
-        """Run b's alive candidates for universe row x, sorted as the live list L_x."""
-        return sorted(((int(self.cand[b, s]), float(self._D[b, x_row, s]))
-                       for s in np.nonzero(self.alive[b])[0]),
-                      key=lambda pair: (pair[1], pair[0]))
-
     def _change_by_slot(self) -> np.ndarray:
         if self.size < 2:
             raise MetricInputError("cannot empty solution")
@@ -217,16 +211,19 @@ def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
     Given k, a means certificate records eps = means_eps(space.n, k).
     `distances` is passed to GreedyState: given, the run makes no query.
     """
-    return res_greedy_batch(space, candidates, k_prime, objective, universe, k, distances)[0]
+    state, (cert,) = res_greedy_batch(space, candidates, k_prime, objective, universe, k, distances)
+    return Solution(tuple(state.centers()), state.nearest(), cert.final_cost,
+                    state.objective, state.universe[0]), cert
 
 
 def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
                      objective: Objective | str = Objective.MEDIAN, universe=None,
                      k: int | None = None, distances=None
-                     ) -> list[tuple[Solution, BoundCertificate]]:
+                     ) -> tuple[GreedyState, list[BoundCertificate]]:
     """The one reverse-greedy loop: the runs of one GreedyState step in
-    lockstep, all |X| - k' steps of them (none when |X| <= k'). Returns per
-    run the (solution, certificate) pair that run gives alone."""
+    lockstep, all |X| - k' steps of them (none when |X| <= k'). Returns the
+    finished state, whose run b holds that run's centers and assignment, and
+    per run the certificate that run gives alone."""
     k_prime = check_k(k_prime, name="k_prime")
     state = GreedyState(space, candidates, universe=universe, objective=objective,
                         distances=distances)
@@ -241,12 +238,9 @@ def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
         for trace, y, before, c in zip(traces, removed.tolist(), current, after):
             trace.append(RemovalStep(y, size_before, before, c))
         current = after
-    centers = state.cand[state.alive].reshape(len(traces), -1).tolist()  # alive, ascending
-    nearest = np.take_along_axis(state.cand, state._s1, 1)
-    return [(Solution(tuple(c), ids, cost, obj, U),
-             BoundCertificate(tuple(cand), k_prime, U.size, obj, trace, init, cost, k, eps))
-            for c, ids, cost, U, cand, trace, init in zip(
-                centers, nearest, current, state.universe, state.cand.tolist(), traces, initial)]
+    m = state.universe.shape[1]
+    return state, [BoundCertificate(tuple(cand), k_prime, m, obj, trace, init, cost, k, eps)
+                   for cand, trace, init, cost in zip(state.cand.tolist(), traces, initial, current)]
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,

@@ -161,38 +161,19 @@ def adversary_algorithm(name: str):
 
 
 def adversary_report_dict(result) -> dict:
-    audit = result.audit
-    qx, qy, qa = result.session.transcript()
-    return {
-        "n": audit.n,
-        "k": audit.k,
-        "delta": audit.delta,
-        "objective": audit.objective.value,
-        "M": audit.M,
-        "log_M_n": audit.log_m_n,
-        "r": audit.r,
-        "trivial_regime": audit.trivial_regime,
-        "passed": audit.passed,
-        "violations": audit.violations,
-        "solution": list(result.solution.centers),
-        "final_centers": result.session.final_centers,
-        "solution_cost": audit.solution_cost,
-        "solution_bound": audit.solution_bound,
-        "witness": list(audit.witness),
-        "witness_cost": audit.witness_cost,
-        "witness_bound": audit.witness_bound,
-        "closed_nodes": audit.closed_nodes,
-        "closed_bound": audit.closed_bound,
-        "ratio": audit.ratio,
-        "ratio_bound": audit.ratio_bound,
-        "algo_queries": audit.algo_queries,
-        "artificial_queries": audit.artificial_queries,
-        "nominal_budget": audit.nominal_budget,
-        "within_budget": audit.within_budget,
-        "edges_total": audit.edges_total,
-        "neighbor_profile": {str(z): prof for z, prof in audit.neighbor_profile.items()},
-        "queries": [[int(a), int(b), float(c)] for a, b, c in zip(qx, qy, qa)],
-    }
+    """The audit's fields (neighbor_profile keyed by str, as JSON writes it)
+    plus the verdict, both center lists and the whole transcript."""
+    audit, session = result.audit, result.session
+    report = asdict(audit)
+    del report["consistency_pairs"]
+    report["log_M_n"] = report.pop("log_m_n")
+    qx, qy, qa = session.transcript()
+    return {**report,
+            "neighbor_profile": {str(z): p for z, p in audit.neighbor_profile.items()},
+            "passed": audit.passed,
+            "solution": list(result.solution.centers),
+            "final_centers": session.final_centers,
+            "queries": [[int(a), int(b), float(c)] for a, b, c in zip(qx, qy, qa)]}
 
 
 def replay_adversary(report: dict) -> tuple[bool, list[str]]:

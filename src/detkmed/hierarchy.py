@@ -1,19 +1,20 @@
 """The main deterministic pipeline: binary partition hierarchy, bottom-up
 restricted reverse-greedy solves, sparsifier extraction down to k centers.
 
-Phase I builds the refinement tree without touching the oracle. Phase II
-walks it bottom-up, running Res-Greedy_{2k} on each part restricted to the
-union of its children's solutions (so every candidate set has size <= 4k).
-A level's parts of one size share one shape, and each such group is built,
-solved in one lockstep batch and unpacked by array operations; only the
-requests run per node, in node order. It asks each pair at most once outside
-the leaves' own squares: a node's matrix is assembled from its children's
-surviving columns plus the two cross blocks, and the root's surviving
-columns are the V x V_0 block that Phase III reads. Phase III projects the
-space onto the <= 2k survivors, accumulates weights, and runs the
-constant-factor local-search solver on that sparsified space; the projection
-and the final nearest-center sweep read that block, so only the local search
-asks the oracle.
+Phase I builds the refinement tree without touching the oracle; every part
+is an id range, so a level is one array of boundaries. Phase II walks it
+bottom-up, running Res-Greedy_{2k} on each part restricted to the union of
+its children's solutions (so every candidate set has size <= 4k). A level's
+parts of one size share one shape, and each such group is built by array
+operations and solved in one lockstep batch, whose alive mask gives the
+survivors; only the requests run per node, in node order. It asks each pair
+at most once outside the leaves' own squares: a node's matrix is assembled
+from its children's surviving columns plus the two cross blocks, and the
+root's surviving columns are the V x V_0 block that Phase III reads. Phase
+III projects the space onto the <= 2k survivors, accumulates weights, and
+runs the constant-factor local-search solver on that sparsified space; the
+projection and the final nearest-center sweep read that block, so only the
+local search asks the oracle.
 """
 
 from __future__ import annotations
@@ -51,64 +52,64 @@ def depth_for(n: int, k: int) -> int:
 
 @dataclass
 class PartitionHierarchy:
-    """Levels Q_0..Q_ell of the binary refinement tree. Children of part j at
-    level i sit at positions 2j and 2j+1 of level i+1. Empty parts are kept so
-    the index arithmetic stays trivial."""
+    """Levels Q_0..Q_ell of the binary refinement tree. Every part is an
+    ascending id range: level i is an int64 array of 2^i + 1 boundaries and
+    part j is bounds[i][j]:bounds[i][j+1]. Its children are parts 2j and 2j+1
+    of level i+1, so a level's even boundaries are the level above. Empty
+    parts are kept so the index arithmetic stays trivial."""
 
     n: int
     k: int
     depth: int
-    parts: list[list[np.ndarray]]
+    bounds: list[np.ndarray]
     centers: list[list[list[int]]] | None = None
     certificates: list[list[BoundCertificate | None]] | None = None
 
+    def part(self, i: int, j: int) -> np.ndarray:
+        return np.arange(self.bounds[i][j], self.bounds[i][j + 1])
+
     def structure_violations(self) -> list[str]:
         out = []
-        if len(self.parts[0]) != 1 or self.parts[0][0].size != self.n:
-            out.append("level 0 must be the whole space")
-        for i, level in enumerate(self.parts):
-            if len(level) != 2 ** i:
-                out.append(f"level {i}: {len(level)} parts, expected {2 ** i}")
+        if not np.array_equal(self.bounds[0], [0, self.n]):
+            out.append("level 0 must be the whole space [0, n]")
+        for i, bounds in enumerate(self.bounds):
+            if bounds.shape != (2 ** i + 1,):
+                out.append(f"level {i}: {bounds.size} boundaries, expected {2 ** i + 1}")
+                continue
+            sizes = np.diff(bounds)
+            if (sizes < 0).any():
+                out.append(f"level {i}: boundaries decrease")
             bound = self.n / 2 ** i + 2
-            for part in level:
-                if part.size > bound + 1e-9:
-                    out.append(f"level {i}: part size {part.size} exceeds {bound!r}")
+            if sizes.max() > bound + 1e-9:
+                out.append(f"level {i}: part size {sizes.max()} exceeds {bound!r}")
             if i > 0:
-                for j in range(0, len(level), 2):
-                    if abs(level[j].size - level[j + 1].size) > 1:
-                        out.append(f"level {i}: siblings {j},{j+1} differ by more than 1")
-                prev = self.parts[i - 1]
-                # splits preserve order, so refinement is plain concatenation
-                merged = np.concatenate(level) if level else np.empty(0, dtype=np.int64)
-                parent = np.concatenate(prev) if prev else np.empty(0, dtype=np.int64)
-                if not np.array_equal(merged, parent):
+                if (abs(sizes[::2] - sizes[1::2]) > 1).any():
+                    out.append(f"level {i}: sibling sizes differ by more than 1")
+                if not np.array_equal(bounds[::2], self.bounds[i - 1]):
                     out.append(f"level {i} does not refine level {i - 1}")
         return out
 
 
 def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
-    """Phase I. Splits preserve input order; the first child takes ceil(|X|/2)
-    points. Makes no distance queries."""
+    """Phase I. Each level splits every range of the one above in one array
+    operation; the first child takes ceil(|X|/2) ids. Makes no distance
+    queries."""
     n = space.n
     k = check_k(k, n)
     depth = depth_for(n, k)
-    levels = [[np.arange(n, dtype=np.int64)]]
+    levels = [np.array([0, n], dtype=np.int64)]
     for _ in range(depth):
-        nxt = []
-        for part in levels[-1]:
-            half = (part.size + 1) // 2
-            nxt.append(part[:half])
-            nxt.append(part[half:])
-        levels.append(nxt)
-    return PartitionHierarchy(n=n, k=k, depth=depth, parts=levels)
+        lo, hi = levels[-1][:-1], levels[-1][1:]
+        level = np.empty(2 * lo.size + 1, dtype=np.int64)
+        level[::2], level[1::2] = levels[-1], lo + (hi - lo + 1) // 2
+        levels.append(level)
+    return PartitionHierarchy(n=n, k=k, depth=depth, bounds=levels)
 
 
 def _survivors(group, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centers and surviving columns of a solved group's runs `rows`, the
     columns by one take over the flat block."""
     C, D, kept = group
-    if kept is None:
-        return C[rows], D[rows]
     at = ((rows * D.shape[1])[:, None] + np.arange(D.shape[1])) * D.shape[2]
     return C[rows], D.reshape(-1).take(at[..., None] + kept[rows][:, None])
 
@@ -116,27 +117,28 @@ def _survivors(group, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
            objective: Objective | str = Objective.MEDIAN) -> tuple[list[int], np.ndarray]:
     """Phase II. Fills hierarchy.centers / certificates and returns V_0 with
-    the V x V_0 block that sparsify reads (centers ascending). Parts are
-    ascending id ranges and a part's subtree depends only on its size, so a
-    level's parts of one size form a group: array operations build its
-    B x |X| x |R| block from the children's surviving columns, one
-    `res_greedy_batch` solves it and its survivors' slots are kept. Only the
-    requests run per node, in node order: a leaf asks X x X; a node X = a ++ b,
-    R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a), and its
-    c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is symmetric)."""
+    the V x V_0 block that sparsify reads (centers ascending). A part's
+    subtree depends only on its size, so a level's parts of one size form a
+    group: array operations build its B x |X| x |R| block from the boundaries
+    and the children's surviving columns, one `res_greedy_batch` solves it,
+    and its survivors and their slots are read off the state's alive mask.
+    Only the requests run per node, in node order: a leaf asks X x X; a node
+    X = a ++ b, R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a),
+    and its c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is
+    symmetric)."""
     obj = as_objective(objective)
-    hierarchy.centers = [[[] for _ in level] for level in hierarchy.parts]
-    hierarchy.certificates = [[None for _ in level] for level in hierarchy.parts]
+    hierarchy.centers = [[[] for _ in range(b.size - 1)] for b in hierarchy.bounds]
+    hierarchy.certificates = [[None] * (b.size - 1) for b in hierarchy.bounds]
     below, row = {}, None  # part size -> (centers, block, surviving slots) a level down
     for i in range(hierarchy.depth, -1, -1):
-        parts = hierarchy.parts[i]
-        ids, sizes = np.concatenate(parts), np.array([part.size for part in parts])
+        bounds = hierarchy.bounds[i]
+        sizes = np.diff(bounds)
         nodes, kid_row, row = np.flatnonzero(sizes), row, np.zeros_like(sizes)
         groups, asks = {}, {}
         for s in np.unique(sizes[nodes]).tolist():
             js = np.flatnonzero(sizes == s)
             B, row[js] = js.size, np.arange(js.size)
-            X = ids[(np.cumsum(sizes) - sizes)[js, None] + np.arange(s)]  # the parts
+            X = bounds[js, None] + np.arange(s)  # the parts
             if i == hierarchy.depth:
                 D = np.empty((B, s, s))
                 groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)]
@@ -161,21 +163,19 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
                 out[t] = space.pairwise(rows[t], cols[t])
         below = {}
         for s, (js, X, R, D, fill) in groups.items():
-            at = np.arange(js.size)[:, None]
             if fill is not None:
+                at = np.arange(js.size)[:, None]
                 ca, kept, rest = fill
                 na, ma = (s + 1) // 2, ca.shape[1]
                 # b's first rows move to their own (numpy copies the overlap first)
                 D[:, na:, :ma][at, rest] = D[:, na:na + rest.shape[1], :ma]
                 D[:, na:, :ma][at, kept] = D[:, :na, ma:][at, ca].transpose(0, 2, 1)
-            runs = res_greedy_batch(space, R, 2 * k, obj, X, k=k, distances=D)
-            for j, (solution, hierarchy.certificates[i][j]) in zip(js.tolist(), runs):
-                hierarchy.centers[i][j] = list(solution.centers)
-            below[s] = R, D, None  # a zero-step run keeps every slot
-            if R.shape[1] > 2 * k:  # R's rows, each offset by n * its row, ascend end to end
-                C = np.array([hierarchy.centers[i][j] for j in js.tolist()])
-                slots = np.searchsorted((R + space.n * at).ravel(), C + space.n * at)
-                below[s] = C, D, slots - R.shape[1] * at
+            state, certs = res_greedy_batch(space, R, 2 * k, obj, X, k=k, distances=D)
+            alive, state = state.alive, None  # the state holds D: let `below` free it
+            C = R[alive].reshape(js.size, -1)  # each run's alive centers, ascending
+            for j, centers, cert in zip(js.tolist(), C.tolist(), certs):
+                hierarchy.centers[i][j], hierarchy.certificates[i][j] = centers, cert
+            below[s] = C, D, np.nonzero(alive)[1].reshape(C.shape)
     return hierarchy.centers[0][0], _survivors(below[hierarchy.n], np.zeros(1, dtype=int))[1][0]
 
 
@@ -323,8 +323,9 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
 
     leaf_total = 0.0
     slack_total = 0.0
-    for i, level in enumerate(hierarchy.parts):
-        for j, part in enumerate(level):
+    for i, bounds in enumerate(hierarchy.bounds):
+        for j in range(bounds.size - 1):
+            part = hierarchy.part(i, j)
             if part.size == 0:
                 continue
             centers = hierarchy.centers[i][j]

@@ -95,18 +95,6 @@ def test_clusters_partition_universe(mid_spaces):
     assert np.array_equal(merged, sp.all_points())
 
 
-def test_neighbor_lists_track_alive_set():
-    sp = line_space([0, 1, 4, 9])
-    state = GreedyState(sp, [0, 1, 2, 3])
-    state.step()
-    alive = set(state.centers())
-    for row in range(sp.n):
-        lst = state.neighbor_list(row)
-        assert [c for c, _ in lst] == sorted(alive, key=lambda c: (sp.distance(row, c), c))
-        dists = [d for _, d in lst]
-        assert dists == sorted(dists)
-
-
 def test_nesting_and_monotone_cost(mid_spaces):
     for sp in mid_spaces[:6]:
         sol, cert = dk.res_greedy(sp, sp.all_points(), 1)
@@ -369,15 +357,16 @@ def test_lockstep_batches_match_sorted_cursors():
             D = np.stack([sp.pairwise(u, c) for u, c in zip(universes, cands)])
             for obj in ("median", "means"):
                 for k_prime in range(1, h + 1):
-                    runs = dk.res_greedy_batch(sp, np.stack(cands), k_prime, obj,
-                                               np.stack(universes), k=k_prime, distances=D)
-                    assert len(runs) == 4
-                    for (sol, cert), c, u in zip(runs, cands, universes):
+                    state, certs = dk.res_greedy_batch(sp, np.stack(cands), k_prime, obj,
+                                                       np.stack(universes), k=k_prime,
+                                                       distances=D)
+                    assert len(certs) == 4
+                    for b, (cert, c, u) in enumerate(zip(certs, cands, universes)):
                         centers, ids, cost, ref_cert = _reference_res_greedy(
                             sp, c, k_prime, obj, universe=u, k=k_prime)
                         assert cert.dumps() == ref_cert.dumps()
-                        assert sol.centers == centers
-                        assert sol.cost.hex() == cost.hex()
-                        assert np.array_equal(sol.assignment, ids)
+                        assert tuple(state.centers(b)) == centers
+                        assert cert.final_cost.hex() == cost.hex()
+                        assert np.array_equal(state.nearest(b), ids)
                     groups += 1
     assert groups > 300

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -25,20 +26,42 @@ def test_partitions_halve_in_order():
     sp = line_space(range(8))
     h = dk.build_partitions(sp, 1)
     assert h.depth == 3
-    assert [p.size for p in h.parts[3]] == [1] * 8
+    assert np.diff(h.bounds[3]).tolist() == [1] * 8
     assert h.structure_violations() == []
     sp5 = line_space(range(5))
     h5 = dk.build_partitions(sp5, 1)
-    assert [p.size for p in h5.parts[1]] == [3, 2]
-    assert list(h5.parts[1][0]) == [0, 1, 2]
+    assert np.diff(h5.bounds[1]).tolist() == [3, 2]
+    assert h5.part(1, 0).tolist() == [0, 1, 2]
 
 
 def test_partition_size_bound_large():
     sp = dk.WeightedMetricSpace.from_points(np.zeros((1000, 1)))
     h = dk.build_partitions(sp, 10)
     assert h.depth == 7
-    assert max(p.size for p in h.parts[7]) <= 9
+    assert np.diff(h.bounds[7]).max() <= 9
     assert h.structure_violations() == []
+
+
+def test_structure_violations_report_broken_bounds():
+    # each mutant breaks one rule on an otherwise valid build; a permuted part
+    # cannot be written down, since a part is a pair of boundaries
+    for n, k in ((8, 1), (5, 1), (1000, 10), (1030, 2)):
+        h = dk.build_partitions(dk.WeightedMetricSpace.from_points(np.zeros((n, 1))), k)
+        assert h.structure_violations() == []
+        d, sizes = h.depth, np.diff(h.bounds[h.depth])
+        j = 2 * np.flatnonzero((sizes[::2] == sizes[1::2]) & (sizes[1::2] > 0))[0]
+        mutants = {
+            "whole space": (0, lambda b: np.array([0, n - 1])),
+            "decrease": (d, lambda b: np.concatenate([[0, -1], b[2:]])),
+            "does not refine": (d, lambda b: b + (np.arange(b.size) == 2)),
+            "boundaries, expected": (d, lambda b: b[:-1]),
+            "sibling sizes": (d, lambda b: b + (np.arange(b.size) == j + 1)),
+        }
+        for fragment, (i, edit) in mutants.items():
+            bounds = list(h.bounds)
+            bounds[i] = edit(bounds[i])
+            found = dataclasses.replace(h, bounds=bounds).structure_violations()
+            assert any(fragment in v for v in found), (n, k, fragment, found)
 
 
 def test_phase1_makes_no_queries():
@@ -326,9 +349,9 @@ def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
     requests, in_sparsify, after_search, h = _pipeline_requests(monkeypatch, sp, k, objective)
     assert in_sparsify == []
     assert after_search == []  # the final sweep reads the root block
-    leaves = [part for part in h.parts[h.depth] if part.size]
+    leaves = [h.part(h.depth, j) for j in np.flatnonzero(np.diff(h.bounds[h.depth]))]
     if case == "empty-parts":
-        assert any(part.size == 0 for part in h.parts[h.depth])
+        assert (np.diff(h.bounds[h.depth]) == 0).any()
     seen = set()
     duplicates = 0
     for rows, cols in requests:
