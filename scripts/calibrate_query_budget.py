@@ -10,9 +10,8 @@ script (main pipeline anchored at n=256, k=4, then given 25% headroom).
 import argparse
 import math
 
-from detkmed.baselines import guha_hierarchical
 from detkmed.generators import uniform_points
-from detkmed.hierarchy import hierarchical_cluster
+from detkmed.hierarchy import guha_hierarchical, hierarchical_cluster
 
 
 def main() -> None:

@@ -9,12 +9,7 @@ from .adversary import (
     audit_session,
     run_against,
 )
-from .baselines import (
-    audit_sparsifier,
-    build_guha_partitions,
-    guha_hierarchical,
-    local_search_kmedian,
-)
+from .baselines import audit_sparsifier, local_search_kmedian
 from .greedy import (
     BoundCertificate,
     GreedyState,
@@ -27,8 +22,10 @@ from .hierarchy import (
     PartitionHierarchy,
     SparsifiedSpace,
     audit_pipeline,
+    build_guha_partitions,
     build_partitions,
     extract_k,
+    guha_hierarchical,
     hierarchical_cluster,
     phase2,
     sparsify,

@@ -1,17 +1,16 @@
-"""Comparison algorithms: deterministic single-swap local search (the
-constant-factor solver used by the pipelines) and the branching hierarchical
-baseline with its recursion and sparsifier audits."""
+"""Deterministic single-swap local search (the constant-factor solver that
+both hierarchical pipelines use and the local-search baseline) and the
+sparsifier-composition audit. The branching hierarchical baseline lives in
+`hierarchy`, next to the partition format it shares."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metric import (
     _SCAN_CHUNK,
-    MetricInputError,
     Objective,
     Solution,
     WeightedMetricSpace,
@@ -131,118 +130,6 @@ def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
 
 
 @dataclass
-class GuhaLevel:
-    parts: list[np.ndarray]
-    sigma: np.ndarray | None = None
-
-
-@dataclass
-class GuhaHierarchy:
-    """Branching-schedule partition hierarchy with per-level mappings."""
-
-    n: int
-    k: int
-    delta: float
-    gamma: float
-    depth: int
-    q: list[int]
-    levels: list[GuhaLevel]
-
-    def structure_violations(self) -> list[str]:
-        """Size bound (n/|Q_i| + i) and the product bounds on |Q_i|."""
-        out = []
-        for i, level in enumerate(self.levels):
-            count = len(level.parts)
-            if i == 0:
-                if count != 1:
-                    out.append("level 0 must hold the whole space")
-                continue
-            expected = 1
-            for j in range(1, i + 1):
-                expected *= self.q[j - 1]
-            if count != expected:
-                out.append(f"level {i}: {count} parts, expected prod q_j = {expected}")
-            lower = self.gamma ** (1.0 - 1.0 / 2 ** i)
-            upper = math.e ** i * lower
-            if not (leq(lower, count) and leq(count, upper)):
-                out.append(f"level {i}: part count {count} outside "
-                           f"[{lower!r}, {upper!r}]")
-            bound = self.n / count + i
-            for part in level.parts:
-                if part.size > bound + 1e-9:
-                    out.append(f"level {i}: part of size {part.size} exceeds "
-                               f"n/|Q_i| + i = {bound!r}")
-        return out
-
-
-def build_guha_partitions(n: int, k: int, delta: float) -> GuhaHierarchy:
-    if not (2 <= delta <= max(2, n / k)):
-        raise MetricInputError("delta must lie in [2, n/k]")
-    gamma = n / k
-    if gamma <= delta:
-        depth = 0
-    else:
-        depth = max(0, math.ceil(math.log2(math.log(gamma) / math.log(delta))))
-    q = [math.ceil(gamma ** (1.0 / 2 ** i)) for i in range(1, depth + 1)]
-    levels = [GuhaLevel(parts=[np.arange(n, dtype=np.int64)])]
-    for i in range(1, depth + 1):
-        parts = []
-        for part in levels[i - 1].parts:
-            # order-preserving, sizes differ by at most 1
-            parts.extend(np.array_split(part, q[i - 1]))
-        levels.append(GuhaLevel(parts=parts))
-    return GuhaHierarchy(n=n, k=k, delta=delta, gamma=gamma, depth=depth, q=q,
-                         levels=levels)
-
-
-@dataclass
-class GuhaRunMetrics:
-    queries: int
-    hierarchy: GuhaHierarchy
-    mapping: np.ndarray
-
-
-def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
-                      objective: Objective | str = Objective.MEDIAN
-                      ) -> tuple[Solution, GuhaRunMetrics]:
-    """Bottom-up hierarchical baseline: split by the branching schedule, solve
-    each part on its surviving weighted points with local search, compose the
-    mappings. Means inputs are solved under the normalized-means objective and
-    reported under the requested one."""
-    obj = as_objective(objective)
-    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
-    k = check_k(k, space.n)
-    q0 = space.oracle.query_count
-    hier = build_guha_partitions(space.n, k, delta)
-    n = space.n
-    in_level = np.ones(n, dtype=bool)
-    weights_cur = space.weights.copy()
-    # composed[x] = current representative of x after the levels applied so far
-    composed = np.arange(n, dtype=np.int64)
-    for i in range(hier.depth, -1, -1):
-        level = hier.levels[i]
-        sigma_lvl = np.arange(n, dtype=np.int64)
-        survivors = np.zeros(n, dtype=bool)
-        next_weights = np.zeros(n)
-        for part in level.parts:
-            pts = part[in_level[part]]
-            if pts.size == 0:
-                continue
-            view = space.with_weights(weights_cur)
-            sol = local_search_kmedian(view, min(k, pts.size), solver_obj, universe=pts)
-            sigma_lvl[pts] = sol.assignment
-            np.add.at(next_weights, sol.assignment, weights_cur[pts])
-            survivors[list(sol.centers)] = True
-        level.sigma = sigma_lvl
-        composed = sigma_lvl[composed]
-        in_level = survivors
-        weights_cur = next_weights
-    centers = sorted(int(c) for c in np.unique(composed))
-    solution = build_solution(space, centers, obj, universe=None)
-    return solution, GuhaRunMetrics(space.oracle.query_count - q0, hier, composed)
-
-
-@dataclass
 class SparsifierAudit:
     opt_full: float
     opt_sparse: float
@@ -307,22 +194,3 @@ def composition_factor(alpha: float, beta: float) -> float:
     cost at most (2*alpha + (1 + 2*alpha)*beta) * OPT_k."""
     return 2 * alpha + (1 + 2 * alpha) * beta
 
-
-def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
-                         objective: Objective | str = Objective.MEDIAN
-                         ) -> list[SparsifierAudit]:
-    """Run the branching baseline and audit each level, deepest first, as one
-    sparsifier composition: sigma is the mapping composed from the deeper
-    levels (the identity at the deepest) and pi the level's own mapping, so
-    the measured beta is the previous composition's ratio. Returns one
-    audit per level. Brute-force sized instances only."""
-    obj = as_objective(objective)
-    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
-    _, metrics = guha_hierarchical(space, k, delta, obj)
-    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj)
-    composed = space.all_points()
-    audits = []
-    for level in reversed(metrics.hierarchy.levels):
-        audits.append(audit_sparsifier(space, composed, level.sigma, k, solver_obj, opt_full))
-        composed = level.sigma[composed]
-    return audits

@@ -9,10 +9,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import guha_hierarchical, local_search_kmedian
+from .baselines import local_search_kmedian
 from .generators import make_instance
 from .greedy import BoundCertificate, res_greedy
-from .hierarchy import hierarchical_cluster
+from .hierarchy import guha_hierarchical, hierarchical_cluster
 from .metric import (
     EnumerationBudgetError,
     MetricInputError,

@@ -1,20 +1,25 @@
-"""The main deterministic pipeline: binary partition hierarchy, bottom-up
-restricted reverse-greedy solves, sparsifier extraction down to k centers.
+"""The main deterministic pipeline (binary partition hierarchy, bottom-up
+restricted reverse-greedy solves, sparsifier extraction down to k centers)
+and the Guha et al. branching baseline, which recurses over the same kind of
+hierarchy.
 
-Phase I builds the refinement tree without touching the oracle; every part
-is an id range, so a level is one array of boundaries. Phase II walks it
-bottom-up, running Res-Greedy_{2k} on each part restricted to the union of
-its children's solutions (so every candidate set has size <= 4k). A level's
-parts of one size share one shape, and each such group is built by array
-operations and solved in one lockstep batch, whose alive mask gives the
-survivors; only the requests run per node, in node order. It asks each pair
-at most once outside the leaves' own squares: a node's matrix is assembled
-from its children's surviving columns plus the two cross blocks, and the
-root's surviving columns are the V x V_0 block that Phase III reads. Phase
-III projects the space onto the <= 2k survivors, accumulates weights, and
-runs the constant-factor local-search solver on that sparsified space; the
-projection and the final nearest-center sweep read that block, so only the
-local search asks the oracle.
+Both hierarchies are nested id ranges in one format: split_levels gives
+each level as one array of boundaries, and range_violations is their one
+structure check. Phase I makes ceil(log2(n/k)) binary splits without
+touching the oracle. Phase II walks them bottom-up, running Res-Greedy_{2k}
+on each part restricted to the union of its children's solutions (so every
+candidate set has size <= 4k). A level's parts of one size share one shape,
+and each such group is built by array operations and solved in one lockstep
+batch, whose alive mask gives the survivors; only the requests run per node,
+in node order. It asks each pair at most once outside the leaves' own
+squares: a node's matrix is assembled from its children's surviving columns
+plus the two cross blocks, and the root's surviving columns are the
+V x V_0 block that Phase III reads. Phase III projects the space onto the
+<= 2k survivors, accumulates weights, and runs the constant-factor
+local-search solver on that sparsified space; the projection and the final
+nearest-center sweep read that block, so only the local search asks the
+oracle. The baseline splits by its branching schedule q instead and solves
+every part with local search on the surviving weighted points.
 """
 
 from __future__ import annotations
@@ -24,10 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import audit_sparsifier, composition_factor, local_search_kmedian
+from .baselines import (
+    SparsifierAudit,
+    audit_sparsifier,
+    composition_factor,
+    local_search_kmedian,
+)
 from .greedy import BoundCertificate, audit_certificate, res_greedy_batch
 from .metric import (
     EnumerationBudgetError,
+    MetricInputError,
     Objective,
     Solution,
     WeightedMetricSpace,
@@ -50,13 +61,55 @@ def depth_for(n: int, k: int) -> int:
     return ell
 
 
+def split_levels(n: int, q: list[int]) -> list[np.ndarray]:
+    """Boundary arrays of nested range partitions of ids 0..n-1. Level 0 is
+    [0, n]; level i cuts every range of level i-1 into p = q[i-1] consecutive
+    ranges, child c of a range of m ids taking (m + p - 1 - c) // p ids, so
+    the first m % p children take one id more (numpy's array_split rule; for
+    p = 2 the first child takes ceil(m/2)). Nesting the floors, finest part j
+    takes (n + N - 1 - rev[j]) // N ids, with N = prod(q): if j is reached
+    through child c_i at level i, j = sum c_i * prod(q[i:]) and rev[j] =
+    sum c_i * prod(q[:i-1]). Level i is every prod(q[i:])-th finest boundary,
+    so it refines the level above, and a level's part sizes differ by at
+    most 1."""
+    rev = np.zeros(1, dtype=np.int64)
+    for p in q:
+        rev = (rev[:, None] + rev.size * np.arange(p)).ravel()
+    finest = np.zeros(rev.size + 1, dtype=np.int64)
+    np.cumsum((n + rev.size - 1 - rev) // rev.size, out=finest[1:])
+    return [finest[::math.prod(q[i:])] for i in range(len(q) + 1)]
+
+
+def range_violations(levels: list[np.ndarray], n: int, q: list[int]) -> list[str]:
+    """The one structure check of split_levels' format: len(q) + 1 levels;
+    level 0 is [0, n]; level i has |Q_{i-1}| * q[i-1] + 1 boundaries, none decreasing, every
+    q[i-1]-th of them the level above; a level's part sizes differ by at
+    most 1. Balance and refinement bound every part of level i by
+    ceil(n / |Q_i|)."""
+    out = [] if len(levels) == len(q) + 1 else [f"{len(levels)} levels, expected {len(q) + 1}"]
+    if not np.array_equal(levels[0], [0, n]):
+        out.append("level 0 must be the whole space [0, n]")
+    for i, (above, bounds, p) in enumerate(zip(levels, levels[1:], q), 1):
+        expected = (above.size - 1) * p + 1
+        if bounds.shape != (expected,):
+            out.append(f"level {i}: {bounds.size} boundaries, expected {expected}")
+            continue
+        sizes = np.diff(bounds)
+        if (sizes < 0).any():
+            out.append(f"level {i}: boundaries decrease")
+        if not np.array_equal(bounds[::p], above):
+            out.append(f"level {i} does not refine level {i - 1}")
+        if sizes.max() - sizes.min() > 1:
+            out.append(f"level {i}: sibling sizes or other part sizes differ by more than 1")
+    return out
+
+
 @dataclass
 class PartitionHierarchy:
-    """Levels Q_0..Q_ell of the binary refinement tree. Every part is an
-    ascending id range: level i is an int64 array of 2^i + 1 boundaries and
-    part j is bounds[i][j]:bounds[i][j+1]. Its children are parts 2j and 2j+1
-    of level i+1, so a level's even boundaries are the level above. Empty
-    parts are kept so the index arithmetic stays trivial."""
+    """Levels Q_0..Q_ell of the binary refinement tree, as split_levels'
+    boundary arrays: part j of level i is bounds[i][j]:bounds[i][j+1], and
+    its children are parts 2j and 2j+1 of level i+1. Empty parts are kept so
+    the index arithmetic stays trivial."""
 
     n: int
     k: int
@@ -69,41 +122,16 @@ class PartitionHierarchy:
         return np.arange(self.bounds[i][j], self.bounds[i][j + 1])
 
     def structure_violations(self) -> list[str]:
-        out = []
-        if not np.array_equal(self.bounds[0], [0, self.n]):
-            out.append("level 0 must be the whole space [0, n]")
-        for i, bounds in enumerate(self.bounds):
-            if bounds.shape != (2 ** i + 1,):
-                out.append(f"level {i}: {bounds.size} boundaries, expected {2 ** i + 1}")
-                continue
-            sizes = np.diff(bounds)
-            if (sizes < 0).any():
-                out.append(f"level {i}: boundaries decrease")
-            bound = self.n / 2 ** i + 2
-            if sizes.max() > bound + 1e-9:
-                out.append(f"level {i}: part size {sizes.max()} exceeds {bound!r}")
-            if i > 0:
-                if (abs(sizes[::2] - sizes[1::2]) > 1).any():
-                    out.append(f"level {i}: sibling sizes differ by more than 1")
-                if not np.array_equal(bounds[::2], self.bounds[i - 1]):
-                    out.append(f"level {i} does not refine level {i - 1}")
-        return out
+        return range_violations(self.bounds, self.n, [2] * self.depth)
 
 
 def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
-    """Phase I. Each level splits every range of the one above in one array
-    operation; the first child takes ceil(|X|/2) ids. Makes no distance
-    queries."""
+    """Phase I: ceil(log2(n/k)) binary splits; the first child takes
+    ceil(|X|/2) ids. Makes no distance queries."""
     n = space.n
     k = check_k(k, n)
     depth = depth_for(n, k)
-    levels = [np.array([0, n], dtype=np.int64)]
-    for _ in range(depth):
-        lo, hi = levels[-1][:-1], levels[-1][1:]
-        level = np.empty(2 * lo.size + 1, dtype=np.int64)
-        level[::2], level[1::2] = levels[-1], lo + (hi - lo + 1) // 2
-        levels.append(level)
-    return PartitionHierarchy(n=n, k=k, depth=depth, bounds=levels)
+    return PartitionHierarchy(n=n, k=k, depth=depth, bounds=split_levels(n, [2] * depth))
 
 
 def _survivors(group, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +216,6 @@ class SparsifiedSpace:
     weights: np.ndarray
     sigma: np.ndarray
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def view(self) -> WeightedMetricSpace:
         """The whole space re-weighted by w_0 on V_0 and zero elsewhere."""
         w = np.zeros(self.space.n)
@@ -253,6 +278,91 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     solution = extract_k(sparsified, k, obj, root_block)
     return solution, PipelineMetrics(queries=space.oracle.query_count - q0,
                                      hierarchy=hierarchy, sparsified=sparsified)
+
+
+@dataclass
+class GuhaHierarchy:
+    """The branching baseline's hierarchy: level i is a split_levels boundary
+    array of prod(q[:i]) parts, and sigma[i] is the level's mapping, set by
+    guha_hierarchical."""
+
+    n: int
+    k: int
+    delta: float
+    gamma: float
+    depth: int
+    q: list[int]
+    bounds: list[np.ndarray]
+    sigma: list[np.ndarray] = field(default_factory=list)
+
+    def structure_violations(self) -> list[str]:
+        """range_violations plus the product bounds on |Q_i|."""
+        out = range_violations(self.bounds, self.n, self.q)
+        for i, bounds in enumerate(self.bounds[1:], 1):
+            count = bounds.size - 1
+            lower = self.gamma ** (1.0 - 1.0 / 2 ** i)
+            upper = math.e ** i * lower
+            if not (leq(lower, count) and leq(count, upper)):
+                out.append(f"level {i}: part count {count} outside [{lower!r}, {upper!r}]")
+        return out
+
+
+def build_guha_partitions(n: int, k: int, delta: float) -> GuhaHierarchy:
+    """The branching schedule over gamma = n/k: ceil(log2(log gamma / log
+    delta)) levels, level i splitting every part into ceil(gamma^(1/2^i))."""
+    k = check_k(k, n)
+    if not (2 <= delta <= max(2, n / k)):
+        raise MetricInputError("delta must lie in [2, n/k]")
+    gamma = n / k
+    depth = 0 if gamma <= delta else math.ceil(math.log2(math.log(gamma) / math.log(delta)))
+    q = [math.ceil(gamma ** (1.0 / 2 ** i)) for i in range(1, depth + 1)]
+    return GuhaHierarchy(n=n, k=k, delta=delta, gamma=gamma, depth=depth, q=q,
+                         bounds=split_levels(n, q))
+
+
+@dataclass
+class GuhaRunMetrics:
+    queries: int
+    hierarchy: GuhaHierarchy
+    mapping: np.ndarray
+
+
+def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
+                      objective: Objective | str = Objective.MEDIAN
+                      ) -> tuple[Solution, GuhaRunMetrics]:
+    """Bottom-up hierarchical baseline: split by the branching schedule, solve
+    each part on its surviving weighted points with local search, compose the
+    mappings. Means inputs are solved under the normalized-means objective and
+    reported under the requested one."""
+    obj = as_objective(objective)
+    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
+    q0 = space.oracle.query_count
+    hier = build_guha_partitions(space.n, k, delta)
+    n = space.n
+    in_level = np.ones(n, dtype=bool)
+    weights_cur = space.weights
+    # composed[x] = current representative of x after the levels applied so far
+    composed = np.arange(n, dtype=np.int64)
+    for bounds in reversed(hier.bounds):
+        sigma_lvl = np.arange(n, dtype=np.int64)
+        survivors = np.zeros(n, dtype=bool)
+        next_weights = np.zeros(n)
+        view = space.with_weights(weights_cur)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            pts = lo + np.flatnonzero(in_level[lo:hi])
+            if pts.size == 0:
+                continue
+            sol = local_search_kmedian(view, min(hier.k, pts.size), solver_obj, universe=pts)
+            sigma_lvl[pts] = sol.assignment
+            np.add.at(next_weights, sol.assignment, weights_cur[pts])
+            survivors[list(sol.centers)] = True
+        hier.sigma.insert(0, sigma_lvl)
+        composed = sigma_lvl[composed]
+        in_level = survivors
+        weights_cur = next_weights
+    centers = sorted(int(c) for c in np.unique(composed))
+    solution = build_solution(space, centers, obj, universe=None)
+    return solution, GuhaRunMetrics(space.oracle.query_count - q0, hier, composed)
 
 
 def harmonic(lo: int, hi: int) -> float:
@@ -377,3 +487,23 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
                 f"ratio {audit.ratio!r} exceeds audited chain bound "
                 f"{audit.chain_ratio_bound!r}")
     return audit
+
+
+def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
+                         objective: Objective | str = Objective.MEDIAN
+                         ) -> list[SparsifierAudit]:
+    """Run the branching baseline and audit each level, deepest first, as one
+    sparsifier composition: sigma is the mapping composed from the deeper
+    levels (the identity at the deepest) and pi the level's own mapping, so
+    the measured beta is the previous composition's ratio. Returns one
+    audit per level. Brute-force sized instances only."""
+    obj = as_objective(objective)
+    solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
+    _, metrics = guha_hierarchical(space, k, delta, obj)
+    opt_full, _ = opt_bruteforce(space, k, objective=solver_obj)
+    composed = space.all_points()
+    audits = []
+    for sigma in reversed(metrics.hierarchy.sigma):
+        audits.append(audit_sparsifier(space, composed, sigma, k, solver_obj, opt_full))
+        composed = sigma[composed]
+    return audits

@@ -260,7 +260,7 @@ def test_c08_adversary_audits():
 
 def test_c09_guha_structure_and_sparsifier():
     t0 = time.time()
-    from detkmed.baselines import audit_guha_recursion, build_guha_partitions
+    from detkmed.hierarchy import audit_guha_recursion, build_guha_partitions
 
     violations = []
     built = 0
@@ -292,7 +292,7 @@ def test_c09_guha_structure_and_sparsifier():
 
 
 def test_c09_recursion_audit_brute_forces_opt_once(monkeypatch):
-    import detkmed.baselines as baselines
+    import detkmed.hierarchy as hierarchy
 
     full_space_calls = []
 
@@ -301,10 +301,10 @@ def test_c09_recursion_audit_brute_forces_opt_once(monkeypatch):
             full_space_calls.append(k)
         return dk.opt_bruteforce(space, k, universe=universe, **kwargs)
 
-    monkeypatch.setattr(baselines, "opt_bruteforce", counting)
+    monkeypatch.setattr(hierarchy, "opt_bruteforce", counting)
     for s, sp in enumerate(_corpus(12, max_n=12, min_n=8, seed0=9000)):
         full_space_calls.clear()
-        levels = baselines.audit_guha_recursion(sp, 1 + s % 2, 2.0)
+        levels = hierarchy.audit_guha_recursion(sp, 1 + s % 2, 2.0)
         assert len(levels) >= 1 and full_space_calls == [1 + s % 2]
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import detkmed as dk
-from detkmed.baselines import IMPROVEMENT_FACTOR, build_guha_partitions, guha_hierarchical
+from detkmed.baselines import IMPROVEMENT_FACTOR
 from detkmed.harness import run_algorithm
+from detkmed.hierarchy import build_guha_partitions, guha_hierarchical
 from detkmed.metric import leq, mapping_cost
 from tests.conftest import line_space
 
@@ -144,7 +145,7 @@ def test_guha_deterministic():
 
 def test_guha_level_recursion_bound(tiny_spaces):
     # every composed mapping stays within the measured sparsifier recursion
-    from detkmed.baselines import audit_guha_recursion
+    from detkmed.hierarchy import audit_guha_recursion
 
     for i, sp in enumerate(tiny_spaces[:8]):
         k = 1 + sp.n % 2

@@ -8,7 +8,7 @@ import pytest
 import detkmed as dk
 from detkmed.harness import run_algorithm
 from detkmed.greedy import means_eps
-from detkmed.hierarchy import depth_for, harmonic
+from detkmed.hierarchy import GuhaHierarchy, depth_for, harmonic, range_violations, split_levels
 from detkmed.metric import leq
 from tests.conftest import line_space
 from tests.test_acceptance import QUERY_CONSTANT_FROZEN
@@ -42,18 +42,55 @@ def test_partition_size_bound_large():
     assert h.structure_violations() == []
 
 
+def test_split_levels_is_nested_array_split():
+    # q in 2..40 over n <= 5000 makes empty parts; the rule is np.array_split's
+    rng = np.random.default_rng(19)
+    empty = 0
+    for case in range(120):
+        n = int(rng.integers(0, 5001 if case % 2 else 60))
+        q = rng.integers(2, 41, size=int(rng.integers(1, 4))).tolist()
+        while math.prod(q) > 20_000:
+            q.pop()
+        levels, parts = split_levels(n, q), [np.arange(n)]
+        assert len(levels) == len(q) + 1 and levels[0].tolist() == [0, n]
+        for p, bounds in zip(q, levels[1:]):
+            parts = [c for part in parts for c in np.array_split(part, p)]
+            assert bounds.tolist() == [0] + np.cumsum([c.size for c in parts]).tolist(), (n, q)
+            empty += sum(c.size == 0 for c in parts)
+        assert range_violations(levels, n, q) == []
+    assert empty > 0
+
+
+def test_split_levels_by_two_halves_ceil_first():
+    # q = 2 against the binary rule: the first child of [lo, hi) takes ceil
+    for n in list(range(70)) + np.random.default_rng(2).integers(70, 5001, 30).tolist():
+        ref = [np.array([0, n])]
+        for _ in range(depth_for(n, 1)):
+            lo, hi = ref[-1][:-1], ref[-1][1:]
+            level = np.empty(2 * lo.size + 1, dtype=np.int64)
+            level[::2], level[1::2] = ref[-1], lo + (hi - lo + 1) // 2
+            ref.append(level)
+        got = split_levels(n, [2] * depth_for(n, 1))
+        assert [b.tolist() for b in got] == [b.tolist() for b in ref], n
+
+
 def test_structure_violations_report_broken_bounds():
-    # each mutant breaks one rule on an otherwise valid build; a permuted part
-    # cannot be written down, since a part is a pair of boundaries
-    for n, k in ((8, 1), (5, 1), (1000, 10), (1030, 2)):
-        h = dk.build_partitions(dk.WeightedMetricSpace.from_points(np.zeros((n, 1))), k)
+    # each mutant breaks one rule on an otherwise valid build, for both
+    # hierarchies; a permuted part cannot be written down, since a part is a
+    # pair of boundaries
+    builds = [dk.build_partitions(dk.WeightedMetricSpace.from_points(np.zeros((n, 1))), k)
+              for n, k in ((8, 1), (5, 1), (1000, 10), (1030, 2))]
+    builds += [dk.build_guha_partitions(n, k, delta)
+               for n, k, delta in ((1024, 4, 2.0), (4096, 8, 4.0), (64, 1, 2.0))]
+    for h in builds:
         assert h.structure_violations() == []
-        d, sizes = h.depth, np.diff(h.bounds[h.depth])
-        j = 2 * np.flatnonzero((sizes[::2] == sizes[1::2]) & (sizes[1::2] > 0))[0]
+        n, d, q = h.n, h.depth, h.q[-1] if isinstance(h, GuhaHierarchy) else 2
+        sizes = np.diff(h.bounds[d])
+        j = q * np.flatnonzero((sizes[::q] == sizes[1::q]) & (sizes[1::q] > 0))[0]
         mutants = {
             "whole space": (0, lambda b: np.array([0, n - 1])),
             "decrease": (d, lambda b: np.concatenate([[0, -1], b[2:]])),
-            "does not refine": (d, lambda b: b + (np.arange(b.size) == 2)),
+            "does not refine": (d, lambda b: b + (np.arange(b.size) == q)),
             "boundaries, expected": (d, lambda b: b[:-1]),
             "sibling sizes": (d, lambda b: b + (np.arange(b.size) == j + 1)),
         }
@@ -61,7 +98,12 @@ def test_structure_violations_report_broken_bounds():
             bounds = list(h.bounds)
             bounds[i] = edit(bounds[i])
             found = dataclasses.replace(h, bounds=bounds).structure_violations()
-            assert any(fragment in v for v in found), (n, k, fragment, found)
+            assert any(fragment in v for v in found), (n, h.k, fragment, found)
+        found = dataclasses.replace(h, bounds=h.bounds[:-1]).structure_violations()
+        assert any("levels, expected" in v for v in found), (n, h.k, found)
+        if isinstance(h, GuhaHierarchy):
+            found = dataclasses.replace(h, gamma=4 * h.gamma).structure_violations()
+            assert any("part count" in v and "outside" in v for v in found), (n, h.k, found)
 
 
 def test_phase1_makes_no_queries():
@@ -130,12 +172,12 @@ def test_sparsify_identity_and_conservation(mid_spaces):
     sp = mid_spaces[0]
     full = dk.sparsify(sp, sp.all_points())
     assert np.array_equal(full.sigma, sp.all_points())
-    assert full.total_weight() == pytest.approx(float(sp.weights.sum()), rel=1e-9)
+    assert full.weights.sum() == pytest.approx(float(sp.weights.sum()), rel=1e-9)
     single = dk.sparsify(sp, [3])
     assert single.weights[0] == pytest.approx(float(sp.weights.sum()), rel=1e-9)
     for other in mid_spaces[1:5]:
         s = dk.sparsify(other, [0, other.n // 2, other.n - 1])
-        assert s.total_weight() == pytest.approx(float(other.weights.sum()), rel=1e-9)
+        assert s.weights.sum() == pytest.approx(float(other.weights.sum()), rel=1e-9)
         nearest = dk.assign_nearest(other, s.points)
         assert np.array_equal(nearest, s.sigma)
 

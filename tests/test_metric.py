@@ -268,6 +268,7 @@ def test_k_must_be_an_integer_in_range():
     sp = line_space(range(6))
     calls = [
         lambda k: dk.build_partitions(sp, k),
+        lambda k: dk.build_guha_partitions(sp.n, k, 2.0),
         lambda k: dk.local_search_kmedian(sp, k),
         lambda k: dk.guha_hierarchical(sp, k, 2.0),
         lambda k: dk.opt_bruteforce(sp, k),
@@ -278,7 +279,7 @@ def test_k_must_be_an_integer_in_range():
             with pytest.raises(dk.MetricInputError):
                 call(bad)
         call(np.int64(2))
-    for call in calls[:4]:
+    for call in calls[:5]:
         with pytest.raises(dk.MetricInputError):
             call(7)
 
