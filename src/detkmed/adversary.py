@@ -3,12 +3,13 @@
 The adversary answers distance queries while building a weighted graph whose
 shortest-path metric stays consistent with every answer it has given. Nodes
 are one vertex per point plus a gate vertex wired to everyone at weight
-log_M(n); a vertex closes permanently once its degree reaches M, which
-`_push_edge` checks for both endpoints of every edge it adds. Queries
-between two open vertices cost 1; anything touching a closed vertex is
-answered with the exact shortest path through the graph augmented by implicit
-weight-1 edges between open pairs (of which a shortest path uses at most one,
-so that one edge is materialized when chosen).
+log_M(n); a vertex closes permanently once its degree reaches M, which is
+checked for both endpoints of every edge added. Queries between two open
+vertices cost 1, and `_answer` pushes that unit edge itself; anything
+touching a closed vertex is answered with the exact shortest path through the
+graph augmented by implicit weight-1 edges between open pairs (of which a
+shortest path uses at most one, so that one edge is materialized when
+chosen), and `_push_edge` adds the answered edge and that virtual one.
 
 The graph is held as one dict per vertex mapping neighbor to weight, plus a
 push counter per vertex (an int: the degree that closes it, repeated virtual
@@ -30,8 +31,8 @@ relaxes the open clique once at the first open vertex it settles. The
 two-edge minimum is 2 when the endpoints share a unit neighbor (one set
 disjointness test against a closed endpoint's frozen set), else the gate
 route 2L while that costs at most one unit edge plus the lightest other
-edge; only past that are common neighbors enumerated, by intersecting the
-two vertex maps.
+edge; only past that, and after the virtual candidate misses 2, are common
+neighbors enumerated, by intersecting the two vertex maps.
 """
 
 from __future__ import annotations
@@ -117,11 +118,13 @@ class AdversarySession:
     # -- graph bookkeeping -------------------------------------------------
 
     def _push_edge(self, u: int, v: int, w: float) -> None:
-        # a repeated push is always a weight-1 virtual edge between two open
-        # vertices: the maps keep one entry, the degree counts both pushes.
-        # An endpoint whose degree reaches M closes for good; nothing reads
-        # the status between the pushes of one answer. A closing vertex's
-        # unit list is final (unit edges join open vertices) and is frozen.
+        # Case 3's pushes: its virtual edge, then the answered pair; `_answer`
+        # writes a Case-2 unit edge itself, the same way. A repeated push is
+        # always a weight-1 virtual edge between two open vertices: the maps
+        # keep one entry, the degree counts both pushes. An endpoint whose
+        # degree reaches M closes for good; nothing reads the status between
+        # the pushes of one answer. A closing vertex's unit list is final
+        # (unit edges join open vertices) and is frozen.
         adj, units, deg = self._adj, self._unit_nbrs, self._deg
         adj[u][v] = w
         adj[v][u] = w
@@ -239,10 +242,14 @@ class AdversarySession:
         path below 3 is the direct edge (+inf for a fresh pair), a two-edge
         path or one virtual edge between the endpoints or their open unit
         neighbors, so a candidate of at most 3 is final. The virtual
-        candidate is only built once the others miss 2: building it advances
-        the round-robin anchors, which later answers depend on. Its anchors
-        never coincide: that takes a direct unit edge or a shared open unit
-        neighbor, both answered 2 or less before.
+        candidate is only built once the direct edge and the gate route miss
+        2: building it advances the round-robin anchors, which later answers
+        depend on. Its anchors never coincide: that takes a direct unit edge
+        or a shared open unit neighbor, both answered 2 or less before. Where
+        2L > 3, the vertex maps are intersected only after it, and only when
+        it misses 2 (no open anchor, or both endpoints closed): without a
+        shared unit neighbor every two-edge path there costs at least 3, and
+        one equal to the candidate wins.
         """
         ax, ay = self._adj[x], self._adj[y]
         best = ax.get(y, math.inf)
@@ -258,10 +265,6 @@ class AdversarySession:
         gate_route = self.L + self.L
         if gate_route <= 3.0:
             best = min(best, gate_route)
-        else:
-            if len(ax) > len(ay):
-                ax, ay = ay, ax
-            best = min(best, min([ax[m] + ay[m] for m in ax.keys() & ay.keys()]))
         virt = None
         if best > 2.0:
             status = self.status
@@ -276,6 +279,12 @@ class AdversarySession:
                     vb, cand = self._find_open_unit_nbr(y), cand + 1.0
                 if vb >= 0 and cand < best:
                     best, virt = cand, (ua, vb)
+        if best > 2.0 and gate_route > 3.0:
+            if len(ax) > len(ay):
+                ax, ay = ay, ax
+            scan = min([ax[m] + ay[m] for m in ax.keys() & ay.keys()])
+            if scan <= best:  # a two-edge path equal to the candidate wins
+                best, virt = scan, None
         if best <= 3.0:
             return best, virt
         d, dvirt = self._dijkstra_hat(x, y, best)
@@ -298,17 +307,30 @@ class AdversarySession:
     def _answer(self, x: int, y: int) -> float:
         if x == y or not (0 <= x < self.n and 0 <= y < self.n):
             raise MetricInputError("queries must name two distinct points")
-        existing = self._adj[x].get(y)
-        if existing is not None:
-            ans = existing
-        elif self.status[x] and self.status[y]:
-            ans = 1.0
-            self._push_edge(x, y, 1.0)
-        else:
-            ans, virt = self._case3(x, y)
-            if virt is not None:
-                self._push_edge(virt[0], virt[1], 1.0)
-            self._push_edge(x, y, ans)
+        ax = self._adj[x]
+        ans = ax.get(y)  # Case 1: a repeat
+        if ans is None:
+            status = self.status
+            if status[x] and status[y]:
+                # Case 2: a fresh unit edge between open points, pushed here
+                # as `_push_edge` would
+                ans = ax[y] = self._adj[y][x] = 1.0
+                units, deg = self._unit_nbrs, self._deg
+                units[x].append(y)
+                units[y].append(x)
+                dx = deg[x] = deg[x] + 1
+                dy = deg[y] = deg[y] + 1
+                if dx == self._close_at:
+                    status[x] = 0
+                    self._unit_set[x] = frozenset(units[x])
+                if dy == self._close_at:
+                    status[y] = 0
+                    self._unit_set[y] = frozenset(units[y])
+            else:
+                ans, virt = self._case3(x, y)
+                if virt is not None:
+                    self._push_edge(virt[0], virt[1], 1.0)
+                self._push_edge(x, y, ans)
         self._qx.append(x)
         self._qy.append(y)
         self._qa.append(ans)
@@ -331,14 +353,11 @@ class AdversarySession:
                 S.append(fill)
                 used.add(fill)
             fill += 1
+        answer = self._answer
         for s in S:
-            row = np.empty(self.n)
-            row[s] = 0.0
-            for x in range(self.n):
-                if x != s:
-                    row[x] = self._answer(s, x)
-                    self.artificial_queries += 1
-            self._center_rows[s] = row
+            row = [0.0 if x == s else answer(s, x) for x in range(self.n)]
+            self.artificial_queries += self.n - 1
+            self._center_rows[s] = np.array(row)
         self.finalized = True
         self.final_centers = S
         return FinalMetric(self)
@@ -486,9 +505,7 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
             witness.append(fill)
         fill += 1
     if witness:
-        dW = np.empty(n)
-        for x in range(n):
-            dW[x] = min(metric.distance(x, w) for w in witness)
+        dW = np.array([min(metric.distance(x, w) for w in witness) for x in range(n)])
         witness_cost = float(obj.point_cost(dW).sum())
     else:
         witness_cost = math.inf
@@ -587,7 +604,7 @@ class AdversaryOracle(DistanceOracle):
     def _pairwise(self, rows, cols):
         answer = self.session.answer_query
         cols = cols.tolist()
-        out = [[0.0 if i == j else answer(i, j) for j in cols] for i in rows.tolist()]
+        out = [0.0 if i == j else answer(i, j) for i in rows.tolist() for j in cols]
         return np.array(out, dtype=np.float64).reshape(rows.size, len(cols))
 
 

@@ -150,10 +150,10 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
     group: array operations build its B x |X| x |R| block from the boundaries
     and the children's surviving columns, one `res_greedy_batch` solves it,
     and its survivors and their slots are read off the state's alive mask.
-    Only the requests run per node, in node order: a leaf asks X x X; a node
-    X = a ++ b, R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a),
-    and its c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is
-    symmetric)."""
+    Only the requests run per node, in node order: a leaf asks X x X (a
+    one-point leaf asks nothing, its block is d(x, x) = 0); a node X = a ++ b,
+    R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a), and its
+    c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is symmetric)."""
     obj = as_objective(objective)
     hierarchy.centers = [[[] for _ in range(b.size - 1)] for b in hierarchy.bounds]
     hierarchy.certificates = [[None] * (b.size - 1) for b in hierarchy.bounds]
@@ -167,9 +167,9 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
             js = np.flatnonzero(sizes == s)
             B, row[js] = js.size, np.arange(js.size)
             X = bounds[js, None] + np.arange(s)  # the parts
-            if i == hierarchy.depth:
-                D = np.empty((B, s, s))
-                groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)]
+            if i == hierarchy.depth:  # a one-point leaf asks nothing: d(x, x) = 0
+                D = np.empty((B, s, s)) if s > 1 else np.zeros((B, 1, 1))
+                groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)] * (s > 1)
                 continue
             na, nb = (s + 1) // 2, s // 2
             ma, mb = below[na][0].shape[1], below[nb][0].shape[1] if nb else 0

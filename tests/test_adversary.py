@@ -310,6 +310,31 @@ def test_budget_enforcement():
         sess.answer_query(0, 6)
 
 
+def test_rejected_query_changes_nothing():
+    # a query refused for its ids, its budget or a finalized session leaves
+    # the count, the transcript and the graph as they were
+    sess = AdversarySession(32, 1, 1.0, budget=4)
+    for y in (1, 2, 3):
+        sess.answer_query(0, y)
+
+    def state():
+        return sess.algo_queries, len(sess.transcript()[0]), sess.edge_count()
+
+    def rejected(x, y, error, match):
+        before = state()
+        with pytest.raises(error, match=match):
+            sess.answer_query(x, y)
+        assert state() == before
+
+    for x, y in ((5, 5), (-1, 4), (4, 32), (32, 4)):
+        rejected(x, y, dk.MetricInputError, "two distinct points")
+    sess.answer_query(0, 4)
+    rejected(5, 6, dk.QueryBudgetExceededError, "budget exceeded")
+    sess.finalize([0])
+    rejected(5, 6, RuntimeError, "already finalized")
+    assert sess.algo_queries == 4
+
+
 def test_budget_error_for_reverse_greedy():
     with pytest.raises(dk.QueryBudgetExceededError):
         run_against(adversary_algorithm("reverse-greedy"), 64, 2, 1.0,

@@ -273,7 +273,10 @@ def _digest(centers, cost, queries, certs):
 # certificate unchanged. Since the final nearest-center sweep reads Phase II's
 # root block, each run asks n*k fewer (13,152 / 14,656 / 22,286 / 3,340 /
 # 4,614 / 1,425,408 before): the query column was re-recorded, and the
-# digest, taken with queries + n*k, still matches the recording.
+# digest, taken with queries + n*k, still matches the recording. Since a
+# one-point leaf asks nothing, random-matrix-120 (8 such leaves) asks 2,972
+# (2,980 before); its digest was re-recorded, and the old one is what the
+# new run gives with 2,980 queries.
 GOLDEN_PIPELINE = [
     ("uniform-points", 300, 0, {}, 4, "median",
      "7cf3a4c05bf25df003c1f047cec21b63b16af6fba906a87b000a85bf4e855458", 11_952),
@@ -282,7 +285,7 @@ GOLDEN_PIPELINE = [
     ("clustered-points", 400, 2, {"clusters": 8}, 5, "median",
      "e02d5b143c75927f4caeac7cb027552abf94c66c4555041fb8a6f2ee5448874b", 20_286),
     ("random-matrix", 120, 3, {}, 3, "median",
-     "af36b4dcfd82562eac9b62cc6a19c1a6384090ebc23bd358add21ecbee04d2b4", 2_980),
+     "380e81c31f706b49bdfeded97e79f082cc8daac4bb7ae3b3231dd7dd7729aae9", 2_972),
     ("random-matrix", 90, 4, {"unit_weights": False}, 7, "means",
      "a0478452f43676d9edfa64d98691e1df26df0ea73cc0717a481ad26aafa16021", 3_984),
     ("clustered-points", 2048, 5, {"clusters": 64, "spread": 0.02}, 64, "means",
@@ -385,12 +388,14 @@ def _request_case(case):
     return _recorded(_RecordingPoints(rng.uniform(size=(3, 2)))), 1, "median"
 
 
-@pytest.mark.parametrize("case", ["uniform-l2", "weighted-matrix", "empty-parts"])
+@pytest.mark.parametrize("case", ["uniform-l2", "uniform-1030", "weighted-matrix", "empty-parts"])
 def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
     sp, k, objective = _request_case(case)
     requests, in_sparsify, after_search, h = _pipeline_requests(monkeypatch, sp, k, objective)
     assert in_sparsify == []
     assert after_search == []  # the final sweep reads the root block
+    # a one-point leaf's block is d(x, x) = 0: no 1 x 1 (x, x) rectangle
+    assert not [r for r, c in sp.oracle.requests if r.size == c.size == 1 and r[0] == c[0]]
     leaves = [h.part(h.depth, j) for j in np.flatnonzero(np.diff(h.bounds[h.depth]))]
     if case == "empty-parts":
         assert (np.diff(h.bounds[h.depth]) == 0).any()
@@ -407,10 +412,13 @@ def test_phase2_and_sparsify_ask_each_pair_once(monkeypatch, case):
 
 
 REQUEST_SEQUENCE_PINS = [
-    # (case, rectangles requested, sha256 of their (sizes, rows, cols) in order)
-    ("uniform-1030", 2178, "3155c9f8a3a79f854479b34ea10a26c87611d81f3a2e708c021c4cb7db0d1e16"),
+    # (case, rectangles requested, sha256 of their (sizes, rows, cols) in order).
+    # Re-recorded when one-point leaves stopped asking d(x, x): uniform-1030
+    # (2,178 before) and empty-parts (9 before) are the old sequences without
+    # their 1,018 and 3 one-by-one self rectangles.
+    ("uniform-1030", 1160, "4dd0f021b463965bf7e39207a5d2e9a991c7693292be5af0ae77e12014d94ac1"),
     ("weighted-matrix", 40, "e5eef4b65679a432b472491a65e0c25f73edb4d18a22284031dc785d6d8a04c7"),
-    ("empty-parts", 9, "1472f9047559cc0f6e98f521e4338923baa18638c00aafe2cc6cea4e57083e95"),
+    ("empty-parts", 6, "7866342526cd47841d58c5fd2a9680da2ff484c30226f90ad277a8e24ea2734a"),
 ]
 
 
