@@ -5,11 +5,12 @@ shortest-path metric stays consistent with every answer it has given. Nodes
 are one vertex per point plus a gate vertex wired to everyone at weight
 log_M(n); a vertex closes permanently once its degree reaches M, which is
 checked for both endpoints of every edge added. Queries between two open
-vertices cost 1, and `_answer` pushes that unit edge itself; anything
-touching a closed vertex is answered with the exact shortest path through the
-graph augmented by implicit weight-1 edges between open pairs (of which a
-shortest path uses at most one, so that one edge is materialized when
-chosen), and `_push_edge` adds the answered edge and that virtual one.
+vertices cost 1; anything touching a closed vertex is answered with the exact
+shortest path through the graph augmented by implicit weight-1 edges between
+open pairs (of which a shortest path uses at most one, so that one edge is
+materialized when chosen). `_answer` is the one edge writer: it pushes the
+unit edge (a Case-2 answer or that virtual edge), then a Case-3 answer's own
+edge.
 
 The graph is held as one dict per vertex mapping neighbor to weight, plus a
 push counter per vertex (an int: the degree that closes it, repeated virtual
@@ -117,37 +118,12 @@ class AdversarySession:
 
     # -- graph bookkeeping -------------------------------------------------
 
-    def _push_edge(self, u: int, v: int, w: float) -> None:
-        # Case 3's pushes: its virtual edge, then the answered pair; `_answer`
-        # writes a Case-2 unit edge itself, the same way. A repeated push is
-        # always a weight-1 virtual edge between two open vertices: the maps
-        # keep one entry, the degree counts both pushes. An endpoint whose
-        # degree reaches M closes for good; nothing reads the status between
-        # the pushes of one answer. A closing vertex's unit list is final
-        # (unit edges join open vertices) and is frozen.
-        adj, units, deg = self._adj, self._unit_nbrs, self._deg
-        adj[u][v] = w
-        adj[v][u] = w
-        if w == 1.0:
-            units[u].append(v)
-            units[v].append(u)
-        du = deg[u] = deg[u] + 1
-        dv = deg[v] = deg[v] + 1
-        if du == self._close_at:
-            self.status[u] = 0
-            self._unit_set[u] = frozenset(units[u])
-        if dv == self._close_at:
-            self.status[v] = 0
-            self._unit_set[v] = frozenset(units[v])
-
-    def degree(self, v: int) -> int:
-        """Edge pushes at v, repeated virtual edges included; v closes once
-        this reaches M."""
-        return self._deg[v]
-
-    def edge_weight(self, u: int, v: int) -> float | None:
-        """Weight of the materialized edge {u, v}, or None."""
-        return self._adj[u].get(v)
+    def _close(self, v: int) -> None:
+        # called on the push that brings v's degree to M; v closes for good,
+        # and its unit list is final (unit edges join open vertices), so it
+        # is frozen
+        self.status[v] = 0
+        self._unit_set[v] = frozenset(self._unit_nbrs[v])
 
     def edges(self):
         """Every materialized edge once, as (u, v, w) with u < v."""
@@ -164,7 +140,8 @@ class AdversarySession:
         queried against many fresh points), the added degree spreads out
         instead of closing one companion after another. A miss leaves the
         cursor where it was; the cursor is an index into a list that only
-        grows, so it stays in range.
+        grows, so it stays in range. Only live answers move it: the final
+        metric reads without writing.
         """
         lst = self._unit_nbrs[v]
         m = len(lst)
@@ -176,7 +153,8 @@ class AdversarySession:
             if i == m:
                 i = 0
             if status[u]:
-                self._unit_cursor[v] = i
+                if not self.finalized:
+                    self._unit_cursor[v] = i
                 return u
         return -1
 
@@ -243,8 +221,9 @@ class AdversarySession:
         path or one virtual edge between the endpoints or their open unit
         neighbors, so a candidate of at most 3 is final. The virtual
         candidate is only built once the direct edge and the gate route miss
-        2: building it advances the round-robin anchors, which later answers
-        depend on. Its anchors never coincide: that takes a direct unit edge
+        2: on a live answer, building it advances the round-robin anchors,
+        which later answers depend on; for the finalized metric the cursors
+        stay put. Its anchors never coincide: that takes a direct unit edge
         or a shared open unit neighbor, both answered 2 or less before. Where
         2L > 3, the vertex maps are intersected only after it, and only when
         it misses 2 (no open anchor, or both endpoints closed): without a
@@ -307,30 +286,39 @@ class AdversarySession:
     def _answer(self, x: int, y: int) -> float:
         if x == y or not (0 <= x < self.n and 0 <= y < self.n):
             raise MetricInputError("queries must name two distinct points")
-        ax = self._adj[x]
-        ans = ax.get(y)  # Case 1: a repeat
+        adj = self._adj
+        ans = adj[x].get(y)  # Case 1: a repeat
         if ans is None:
-            status = self.status
-            if status[x] and status[y]:
-                # Case 2: a fresh unit edge between open points, pushed here
-                # as `_push_edge` would
-                ans = ax[y] = self._adj[y][x] = 1.0
-                units, deg = self._unit_nbrs, self._deg
-                units[x].append(y)
-                units[y].append(x)
-                dx = deg[x] = deg[x] + 1
-                dy = deg[y] = deg[y] + 1
-                if dx == self._close_at:
-                    status[x] = 0
-                    self._unit_set[x] = frozenset(units[x])
-                if dy == self._close_at:
-                    status[y] = 0
-                    self._unit_set[y] = frozenset(units[y])
+            if self.status[x] and self.status[y]:
+                ans, unit = 1.0, (x, y)  # Case 2
             else:
-                ans, virt = self._case3(x, y)
-                if virt is not None:
-                    self._push_edge(virt[0], virt[1], 1.0)
-                self._push_edge(x, y, ans)
+                ans, unit = self._case3(x, y)  # unit: the virtual edge or None
+            deg, close_at = self._deg, self._close_at
+            # A unit edge joins two open points. A repeated virtual edge keeps
+            # one map entry but counts in both unit lists and both degrees. One
+            # answer can bump a vertex twice, so each increment is checked.
+            if unit is not None:
+                u, v = unit
+                adj[u][v] = adj[v][u] = 1.0
+                units = self._unit_nbrs
+                units[u].append(v)
+                units[v].append(u)
+                du = deg[u] = deg[u] + 1
+                if du == close_at:
+                    self._close(u)
+                dv = deg[v] = deg[v] + 1
+                if dv == close_at:
+                    self._close(v)
+            if ans != 1.0:
+                # Case 3's answered pair, after its virtual edge: it weighs at
+                # least 2, since a closed point means L >= 1
+                adj[x][y] = adj[y][x] = ans
+                dx = deg[x] = deg[x] + 1
+                if dx == close_at:
+                    self._close(x)
+                dy = deg[y] = deg[y] + 1
+                if dy == close_at:
+                    self._close(y)
         self._qx.append(x)
         self._qy.append(y)
         self._qa.append(ans)
@@ -343,16 +331,7 @@ class AdversarySession:
         queries from each center to every point, and freeze the graph."""
         if self.finalized:
             raise RuntimeError("session already finalized")
-        S = [int(c) for c in centers]
-        if len(S) > self.k:
-            raise MetricInputError("solution exceeds k centers")
-        used = set(S)
-        fill = 0
-        while len(S) < self.k:
-            if fill not in used:
-                S.append(fill)
-                used.add(fill)
-            fill += 1
+        S = _padded(centers, self.n, self.k)
         answer = self._answer
         for s in S:
             row = [0.0 if x == s else answer(s, x) for x in range(self.n)]
@@ -373,6 +352,19 @@ class AdversarySession:
     def edge_count(self) -> int:
         """Materialized edges, gate star included; each sits in two maps."""
         return sum(map(len, self._adj)) // 2
+
+
+def _padded(ids, n: int, k: int) -> list[int]:
+    """`ids` as ints, checked against [0, n) and k, then padded to k with the
+    smallest unused ids."""
+    S = [int(c) for c in ids]
+    if len(S) > k:
+        raise MetricInputError("solution exceeds k centers")
+    if not all(0 <= c < n for c in S):
+        raise MetricInputError(f"centers must be point ids in [0, {n}), got {S}")
+    used = set(S)
+    S += [v for v in range(n) if v not in used][: k - len(S)]
+    return S
 
 
 class FinalMetric:
@@ -498,17 +490,9 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
     solution_bound = (n / 2.0) * (r * r if obj is Objective.MEANS else r)
 
     witness_first = next((v for v in range(n) if session.status[v]), None)
-    witness: list[int] = [] if witness_first is None else [witness_first]
-    fill = 0
-    while len(witness) < k and fill < n:
-        if fill not in witness:
-            witness.append(fill)
-        fill += 1
-    if witness:
-        dW = np.array([min(metric.distance(x, w) for w in witness) for x in range(n)])
-        witness_cost = float(obj.point_cost(dW).sum())
-    else:
-        witness_cost = math.inf
+    witness = _padded([] if witness_first is None else [witness_first], n, k)
+    dW = np.array([min(metric.distance(x, w) for w in witness) for x in range(n)])
+    witness_cost = float(obj.point_cost(dW).sum())
     witness_bound = 5.0 * n if obj is Objective.MEANS else 3.0 * n
 
     closed = session.closed_points()
@@ -546,7 +530,7 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
         if not leq(ratio_bound, ratio):
             audit.violations.append(
                 f"implied ratio {ratio!r} below {ratio_bound!r}")
-    if witness and not leq(witness_cost, witness_bound):
+    if not leq(witness_cost, witness_bound):
         lemmas.append(
             f"witness cost {witness_cost!r} exceeds {witness_bound!r}")
     if not leq(closed, closed_bound):

@@ -42,7 +42,7 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
     Each iteration prices every swap at once in a table (see `_swap_table`)
     that serves only as a filter: every swap whose table value lies within
     twice the table's float error bound of the table minimum is re-evaluated
-    with the exact per-swap dot product, in scan order, with a strict `<`.
+    with the exact per-swap `Objective.total`, in scan order, with a strict `<`.
     The chosen swap, centers, cost and assignment are therefore exactly those
     of an exhaustive per-swap scan, and so are the oracle requests: U x
     centers once, U x non-centers once per iteration, and U x centers for the
@@ -69,7 +69,7 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
         outside = U[~is_center]
         Dz = space.pairwise(U, outside)
         table = _swap_table(obj, w, d1, d2, nearest_col, k, Dz)
-        # The table and the exact dot product both sum |U| nonnegative terms,
+        # The table and the exact total both sum |U| nonnegative terms,
         # so each lies within about (|U| + 4) * eps / 2 of the true total, plus
         # one subnormal per term on underflow; `bound` is twice that at the
         # minimum. Any swap whose exact total can tie or beat the best one,
@@ -81,14 +81,13 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
                                       + np.finfo(np.float64).smallest_subnormal)
         limit = low + 2.0 * bound
         best = (None, None, current)
-        base_col, base = -1, None
+        sel_col, sel = -1, None
         recheck_cols, recheck_zis = np.nonzero(~(table > limit))
         for col, zi in zip(recheck_cols.tolist(), recheck_zis.tolist()):
-            if col != base_col:
-                base_col = col
-                base = obj.point_cost(np.where(nearest_col == col, d2, d1))
-            dz = Dz[:, zi]
-            total = obj.finalize(float(np.dot(w, np.minimum(base, obj.point_cost(dz)))))
+            if col != sel_col:
+                sel_col = col
+                sel = np.where(nearest_col == col, d2, d1)
+            total = obj.total(w, np.minimum(sel, Dz[:, zi]))
             if total < best[2]:
                 best = (col, zi, total)
         col, zi, improved = best

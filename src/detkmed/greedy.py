@@ -160,9 +160,6 @@ class GreedyState:
         """Every run's current cost, the B of them from one `Objective.total`."""
         return self.objective.total(self.w, self._d1)
 
-    def current_cost(self, b: int = 0) -> float:
-        return float(self.costs()[b])
-
     def clusters(self, b: int = 0) -> dict[int, np.ndarray]:
         """C_S(y): run b's universe points whose nearest alive center is y."""
         ids = self.nearest(b)

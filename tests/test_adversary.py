@@ -51,7 +51,7 @@ def test_closed_node_distance_two():
     while sess.status[hub]:
         sess.answer_query(hub, partner)
         partner += 1
-    assert sess.degree(hub) >= sess.M
+    assert sess._deg[hub] >= sess.M
     # fresh pair against the closed hub: shortest route hops through one of
     # the hub's open unit neighbors
     got = sess.answer_query(hub, partner)
@@ -83,7 +83,7 @@ def test_dijkstra_fallback_past_the_enumeration_threshold():
     sess._dijkstra_hat = lambda *args: searches.append(args) or dijkstra(*args)
     assert sess.answer_query(0, 150) == expected == 3.0
     assert len(searches) == 1
-    assert sess.edge_weight(200, 150) == 1.0
+    assert sess._adj[200].get(150) == 1.0
 
 
 def test_statuses_never_reopen_and_m_threshold():
@@ -105,7 +105,7 @@ def test_statuses_never_reopen_and_m_threshold():
         was_closed = now_closed
         for v in range(n):
             if sess.status[v]:
-                assert sess.degree(v) < sess.M + 2
+                assert sess._deg[v] < sess.M + 2
             else:
                 units = at_close.setdefault(v, list(sess._unit_nbrs[v]))
                 assert sess._unit_nbrs[v] == units
@@ -123,7 +123,7 @@ def _check_against_materialized_oracle(sess):
     G = build_hat_graph(sess)
     closed_answers = 0
     for x, y in pairs:
-        existing = sess.edge_weight(x, y)
+        existing = sess._adj[x].get(y)
         expected = existing if existing is not None else nx.dijkstra_path_length(G, x, y)
         closed_before = sess.closed_points()
         closed_endpoint = not (sess.status[x] and sess.status[y])
@@ -168,12 +168,12 @@ def test_repeated_virtual_edge_counts_toward_degree_only():
             sess.answer_query(hub, fresh)
             fresh += 1
     edges = sess.edge_count()
-    degrees = [sess.degree(v) for v in range(26)]
+    degrees = [sess._deg[v] for v in range(26)]
     assert sess.answer_query(0, 1) == 3.0
     assert sess.edge_count() == edges + 1
-    grown = [v for v in range(2, 26) if sess.degree(v) > degrees[v]]
-    assert len(grown) == 2 and sess.edge_weight(*grown) == 1.0
-    assert all(sess.degree(v) == degrees[v] + 1 for v in grown)
+    grown = [v for v in range(2, 26) if sess._deg[v] > degrees[v]]
+    assert len(grown) == 2 and sess._adj[grown[0]].get(grown[1]) == 1.0
+    assert all(sess._deg[v] == degrees[v] + 1 for v in grown)
 
 
 def test_at_most_two_edges_per_answer():
@@ -300,6 +300,17 @@ def test_finalize_pads_with_smallest_unused():
     sess.answer_query(1, 2)
     sess.finalize([2])
     assert sess.final_centers == [2, 0, 1]
+
+
+def test_finalize_checks_centers_before_answering():
+    sess = AdversarySession(64, 2, 1.0)
+    sess.answer_query(1, 2)
+    with pytest.raises(dk.MetricInputError, match="point ids"):
+        sess.finalize([3, 64])
+    assert not sess.finalized and sess.artificial_queries == 0
+    assert len(sess.transcript()[0]) == 1
+    sess.finalize([3])
+    assert sess.artificial_queries == 126
 
 
 def test_budget_enforcement():
@@ -558,6 +569,48 @@ def test_golden_local_search_transcript():
         "premise not met: 79600 queries exceed the n·k·δ allowance 400.0")
     assert _report_digest(result) == (
         "36223d037672d37c311b8fe0c773ac1810f9880f2fa82a4761f4c86f92ac563c")
+
+
+def _graph_state_digest(sess) -> str:
+    """sha256 of the state the answer path writes beside the maps and the
+    transcript: degrees, statuses, unit lists in push order, frozen unit sets
+    and round-robin cursors."""
+    frozen = [None if s is None else sorted(s) for s in sess._unit_set]
+    state = (sess._deg, bytes(sess.status), sess._unit_nbrs, frozen, sess._unit_cursor)
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def _finalized_hierarchical(n, k, objective):
+    sess = AdversarySession(n, k, 1.0, objective)
+    space = dk.WeightedMetricSpace(AdversaryOracle(sess), np.ones(n))
+    sess.finalize(adversary_algorithm("hierarchical")(space, k, Objective(objective)).centers)
+    return sess
+
+
+# The hierarchical GOLDEN rows' graph state, read after finalize and before
+# the audit. Recorded while the adversary still had two edge writers: it pins
+# the order of their writes, which the transcripts see only through later
+# answers.
+@pytest.mark.parametrize("n,objective,digest", [
+    (1030, "means",
+     "3e4cf6194d049e543f3b9e209b90ab3e181b93818e310463f761c65fcf856f0a"),
+    (1030, "median",
+     "5cc721118b292d9929faee0de3b9fadb49385ce90d62e037c28da7d5a1da7489"),
+    (4096, "median",
+     "dc76daf22b719930cabf4afe3590a844bdb76299723349b775cb97f0393e52a7"),
+])
+def test_golden_graph_state(n, objective, digest):
+    assert _graph_state_digest(_finalized_hierarchical(n, 2, objective)) == digest
+
+
+def test_audit_reads_without_writing(finalized_hierarchical_1024):
+    # the final metric shares `_case3` with the answer path, but only live
+    # answers advance the round-robin cursors
+    sess = copy.deepcopy(finalized_hierarchical_1024)
+    cursors, state = list(sess._unit_cursor), _graph_state_digest(sess)
+    assert audit_session(sess, FinalMetric(sess)).passed
+    assert sess._unit_cursor == cursors
+    assert _graph_state_digest(sess) == state
 
 
 def test_case3_matches_hat_graph_in_scan_regime():

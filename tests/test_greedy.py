@@ -57,7 +57,7 @@ def test_deltas_match_direct_recomputation(mid_spaces):
         state = GreedyState(sp, sp.all_points(), objective="means")
         while state.size > 2:
             deltas = state.removal_deltas()
-            base = state.current_cost()
+            base = float(state.costs()[0])
             centers = state.centers()
             for y in centers:
                 rest = [c for c in centers if c != y]
@@ -81,9 +81,9 @@ def test_deltas_match_rebuilt_state():
 def test_state_cost_invariant(mid_spaces):
     for sp in mid_spaces[:5]:
         state = GreedyState(sp, sp.all_points())
-        assert state.current_cost() == pytest.approx(dk.cost(sp, state.centers()), rel=1e-9)
+        assert float(state.costs()[0]) == pytest.approx(dk.cost(sp, state.centers()), rel=1e-9)
         state.step()
-        assert state.current_cost() == pytest.approx(dk.cost(sp, state.centers()), rel=1e-9)
+        assert float(state.costs()[0]) == pytest.approx(dk.cost(sp, state.centers()), rel=1e-9)
 
 
 def test_clusters_partition_universe(mid_spaces):
