@@ -342,9 +342,11 @@ class AdversarySession:
         return FinalMetric(self)
 
     def transcript(self):
-        return (np.asarray(self._qx, dtype=np.int64),
-                np.asarray(self._qy, dtype=np.int64),
-                np.asarray(self._qa, dtype=np.float64))
+        """Copies of the (x, y, answer) columns: a view of the growing
+        buffers would block every later answer."""
+        return (np.array(self._qx, dtype=np.int64),
+                np.array(self._qy, dtype=np.int64),
+                np.array(self._qa, dtype=np.float64))
 
     def closed_points(self) -> int:
         return self.n - sum(self.status[: self.n])
@@ -355,9 +357,9 @@ class AdversarySession:
 
 
 def _padded(ids, n: int, k: int) -> list[int]:
-    """`ids` as ints, checked against [0, n) and k, then padded to k with the
-    smallest unused ids."""
-    S = [int(c) for c in ids]
+    """`ids` as distinct ints (a repeat is dropped), checked against [0, n)
+    and k, then padded to k with the smallest unused ids."""
+    S = list(dict.fromkeys(int(c) for c in ids))
     if len(S) > k:
         raise MetricInputError("solution exceeds k centers")
     if not all(0 <= c < n for c in S):

@@ -13,9 +13,11 @@ one with a masked argmin. All distances come from one |U| x |X| matrix per
 run, handed in or requested once. One state holds a batch of B runs of the
 same shape and steps them in lockstep, so a step is a fixed number of array
 calls whatever B is, and each run's removals, costs and centers are
-bit-identical to running it alone. `res_greedy_batch` is the only run loop
-and `res_greedy` its one-run call; a candidate set no larger than k' goes
-through it as a zero-step run.
+bit-identical to running it alone. The rows of all runs are kept run-major
+in one flat layout, with each row's run and first slot worked out once, and
+the removed slots in one B x |X| mask; a step changes only the rows it must.
+`res_greedy_batch` is the only run loop and `res_greedy` its one-run call; a
+candidate set no larger than k' goes through it as a zero-step run.
 """
 
 from __future__ import annotations
@@ -120,45 +122,52 @@ class GreedyState:
                                    "candidates ascending and distinct")
         self.universe, self.cand = U.reshape(B, -1), cand.reshape(B, -1)
         self.w = space.weights[self.universe]
-        self._D = np.ascontiguousarray(distances).reshape(B, *distances.shape[-2:])
-        self.alive = np.ones(self.cand.shape, dtype=bool)
-        self.size = self.cand.shape[1]
+        m = self.cand.shape[1]
+        # the B*|U| rows of all runs, run-major: distances (a view of the
+        # block), weights, run and the run's first slot in the B*|X| slots
+        self._rows = np.ascontiguousarray(distances).reshape(-1, m)
+        self._w = self.w.reshape(-1)
         self._runs = np.arange(B)
+        self._run = np.repeat(self._runs, self.universe.shape[1])
+        self._slot0 = self._run * m
+        self._dead = np.zeros(self.cand.shape, dtype=bool)
+        self.size = m
         # argmin takes the first minimum and columns are id-ascending, so ties
         # go to the smaller candidate id
-        self._s1 = np.argmin(self._D, axis=2)
-        self._d1 = np.take_along_axis(self._D, self._s1[..., None], axis=2)[..., 0]
+        self._s1 = np.argmin(self._rows, axis=1)
+        self._d1 = self._rows[np.arange(self._s1.size), self._s1]
         self._s2 = self._d2 = None  # found by the first step; zero-step runs never read them
 
-    def _refresh_second(self, flat: np.ndarray) -> None:
-        """s2/d2 of the rows `flat` of the run-major B*|U| rows: first-minimum
-        argmin with s1 and the run's dead slots masked to +inf, in chunks of
-        _SCAN_CHUNK elements. Distances are finite (the oracles reject
-        overflowing inputs), so the minimum is +inf only with one center
-        left, and then s2 is never read."""
-        B, n, m = self._D.shape
-        D, s1 = self._D.reshape(B * n, m), self._s1.reshape(-1)
-        s2, d2 = self._s2.reshape(-1), self._d2.reshape(-1)
-        step = max(1, _SCAN_CHUNK // m)
-        for lo in range(0, flat.size, step):
-            r = flat[lo : lo + step]
+    @property
+    def alive(self) -> np.ndarray:
+        """B x |X|: which of each run's candidate slots are still centers."""
+        return ~self._dead
+
+    def _refresh_second(self, rows: np.ndarray) -> None:
+        """s2/d2 of `rows`: first-minimum argmin with s1 and the run's dead
+        slots masked to +inf, in chunks of _SCAN_CHUNK elements. Distances
+        are finite (the oracles reject overflowing inputs), so the minimum is
+        +inf only with one center left, and then s2 is never read."""
+        step = max(1, _SCAN_CHUNK // self._rows.shape[1])
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
             at = np.arange(r.size)
-            block = D[r]
-            block[~self.alive[r // n]] = np.inf
-            block[at, s1[r]] = np.inf
-            s2[r] = best = np.argmin(block, axis=1)
-            d2[r] = block[at, best]
+            block = self._rows[r]
+            np.putmask(block, self._dead[self._run[r]], np.inf)
+            block[at, self._s1[r]] = np.inf
+            self._s2[r] = best = np.argmin(block, axis=1)
+            self._d2[r] = block[at, best]
 
     def centers(self, b: int = 0) -> list[int]:
         return self.cand[b][self.alive[b]].tolist()
 
     def nearest(self, b: int = 0) -> np.ndarray:
         """Id of the nearest alive center of each of run b's universe points."""
-        return self.cand[b][self._s1[b]]
+        return self.cand[b][self._s1.reshape(self.w.shape)[b]]
 
     def costs(self) -> np.ndarray:
         """Every run's current cost, the B of them from one `Objective.total`."""
-        return self.objective.total(self.w, self._d1)
+        return self.objective.total(self.w, self._d1.reshape(self.w.shape))
 
     def clusters(self, b: int = 0) -> dict[int, np.ndarray]:
         """C_S(y): run b's universe points whose nearest alive center is y."""
@@ -172,11 +181,10 @@ class GreedyState:
             self._s2, self._d2 = np.empty_like(self._s1), np.empty_like(self._d1)
             self._refresh_second(np.arange(self._s1.size))
         pc = self.objective.point_cost
-        B, m = self.cand.shape
-        # flattening is run-major, so bincount sums each slot's rows in row order
-        slots = (self._s1 + self._runs[:, None] * m).ravel()
-        contrib = (self.w * (pc(self._d2) - pc(self._d1))).ravel()
-        return np.bincount(slots, weights=contrib, minlength=B * m).reshape(B, m)
+        # rows are run-major, so bincount sums each slot's rows in row order
+        contrib = self._w * (pc(self._d2) - pc(self._d1))
+        return np.bincount(self._s1 + self._slot0, weights=contrib,
+                           minlength=self._dead.size).reshape(self._dead.shape)
 
     def removal_deltas(self, b: int = 0) -> dict[int, float]:
         """change(y) = cost(S - y) - cost(S) for every alive center y of run b."""
@@ -185,15 +193,21 @@ class GreedyState:
 
     def step(self) -> tuple[np.ndarray, np.ndarray]:
         """Remove each run's argmin change(y) (ties to the smallest center id);
-        returns per run the removed center and the shrunken solution's cost."""
-        y_slot = np.argmin(np.where(self.alive, self._change_by_slot(), np.inf), axis=1)
-        self.alive[self._runs, y_slot] = False
+        returns per run the removed center and the shrunken solution's cost.
+        Rows whose s1 was removed take s2 as s1; those rows and the rows whose
+        s2 was removed get a new s2."""
+        change = self._change_by_slot()
+        np.putmask(change, self._dead, np.inf)
+        y = np.argmin(change, axis=1)
+        self._dead[self._runs, y] = True
         self.size -= 1
-        promoted = self._s1 == y_slot[:, None]
-        self._s1[promoted] = self._s2[promoted]
-        self._d1[promoted] = self._d2[promoted]
-        self._refresh_second(np.flatnonzero(promoted | (self._s2 == y_slot[:, None])))
-        return self.cand[self._runs, y_slot], self.costs()
+        y_col = y[:, None]
+        promoted = (self._s1.reshape(self.w.shape) == y_col).reshape(-1)
+        np.copyto(self._s1, self._s2, where=promoted)
+        np.copyto(self._d1, self._d2, where=promoted)
+        promoted |= (self._s2.reshape(self.w.shape) == y_col).reshape(-1)
+        self._refresh_second(np.flatnonzero(promoted))
+        return self.cand[self._runs, y], self.costs()
 
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -226,18 +240,21 @@ def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
                         distances=distances)
     obj = state.objective
     eps = means_eps(space.n, k) if k is not None and obj is Objective.MEANS else None
-    initial = current = state.costs().tolist()
-    traces: list[list[RemovalStep]] = [[] for _ in current]
+    B, m = state.cand.shape
+    removed, costs = [], [state.costs()]
     while state.size > k_prime:
-        size_before = state.size
-        removed, after = state.step()
-        after = after.tolist()
-        for trace, y, before, c in zip(traces, removed.tolist(), current, after):
-            trace.append(RemovalStep(y, size_before, before, c))
-        current = after
-    m = state.universe.shape[1]
-    return state, [BoundCertificate(tuple(cand), k_prime, m, obj, trace, init, cost, k, eps)
-                   for cand, trace, init, cost in zip(state.cand.tolist(), traces, initial, current)]
+        y, after = state.step()
+        removed.append(y)
+        costs.append(after)
+    # per run: its removed centers, and its costs before the first step and after each
+    removed = np.reshape(removed, (-1, B)).T.tolist()
+    costs = np.reshape(costs, (-1, B)).T.tolist()
+    sizes = range(m, k_prime, -1)
+    return state, [
+        BoundCertificate(tuple(cand), k_prime, state.universe.shape[1], obj,
+                         [RemovalStep(*s) for s in zip(ys, sizes, cs, cs[1:])],
+                         cs[0], cs[-1], k, eps)
+        for cand, ys, cs in zip(state.cand.tolist(), removed, costs)]
 
 
 def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,

@@ -313,6 +313,29 @@ def test_finalize_checks_centers_before_answering():
     assert sess.artificial_queries == 126
 
 
+def test_finalize_drops_duplicate_centers():
+    sess = AdversarySession(64, 2, 1.0)
+    sess.answer_query(1, 2)
+    sess.finalize([3, 3])
+    assert sess.final_centers == [3, 0]
+    assert sess.artificial_queries == 126
+    qx, qy, _ = sess.transcript()
+    pairs = set(zip(np.minimum(qx, qy).tolist(), np.maximum(qx, qy).tolist()))
+    assert len(pairs) == qx.size - 1  # only (3, 0) is asked twice, once from each center
+
+
+def test_held_transcript_does_not_block_answers():
+    sess = AdversarySession(64, 2, 1.0)
+    sess.answer_query(0, 1)
+    held = sess.transcript()
+    kept = [a.copy() for a in held]
+    sess.answer_query(0, 2)
+    sess.answer_query(3, 4)
+    assert sess.algo_queries == 3
+    assert all(a.size == 3 for a in sess.transcript())
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(held, kept))
+
+
 def test_budget_enforcement():
     sess = AdversarySession(16, 1, 1.0, budget=5)
     for i in range(5):

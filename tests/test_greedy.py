@@ -305,8 +305,26 @@ def _grid_l1_matrix(n, seed, scale):
     return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) * scale
 
 
+def _signed_zero_matrix(n, seed, upper_only):
+    # the last three points duplicate points 0, 0 and 1, and zero distances are
+    # stored as -0.0: everywhere, or above the diagonal only (the oracle's
+    # symmetry check compares values, so the sign bits may differ across it)
+    idx = np.arange(n)
+    idx[-3:] = (0, 0, 1)
+    D = _grid_l1_matrix(n, seed, 1.0)[np.ix_(idx, idx)]
+    zero = D == 0
+    D[np.triu(zero, 1) if upper_only else zero] = -0.0
+    return D
+
+
 def _tie_corpus():
     spaces = []
+    for s, upper_only in ((0, False), (1, True), (2, False)):
+        n = 8 + 2 * s
+        weights = np.random.default_rng(60 + s).integers(1, 4, size=n).astype(float)
+        spaces.append(dk.WeightedMetricSpace.from_matrix(_signed_zero_matrix(n, s, upper_only)))
+        spaces.append(dk.WeightedMetricSpace.from_matrix(_signed_zero_matrix(n, s, upper_only),
+                                                         weights))
     for s in range(6):
         n = 6 + 2 * s
         weights = np.random.default_rng(50 + s).integers(1, 4, size=n).astype(float)
