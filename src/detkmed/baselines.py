@@ -14,6 +14,7 @@ from .metric import (
     Objective,
     Solution,
     WeightedMetricSpace,
+    _index_array,
     _universe,
     as_objective,
     build_solution,
@@ -111,7 +112,10 @@ def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     nearest column, so one pass over the candidate columns fills the table.
     """
     grp = np.argsort(nearest_col, kind="stable")
-    cols, starts = np.unique(nearest_col[grp], return_index=True)
+    # the grouped columns are sorted: a run starts where they change
+    ordered = nearest_col[grp]
+    starts = np.diff(ordered, prepend=-1).nonzero()[0]
+    cols = ordered[starts]
     wg = w[grp]
     p1 = obj.point_cost(d1[grp])[:, None]
     p2 = obj.point_cost(d2[grp])[:, None]
@@ -151,7 +155,7 @@ def audit_sparsifier(space: WeightedMetricSpace, sigma: np.ndarray, pi: dict | n
     composition_factor(alpha, beta) * OPT_k, brute-forced unless given as
     `opt_full`. Brute-force sized instances only."""
     obj = as_objective(objective)
-    sigma = np.asarray(sigma, dtype=np.int64)
+    sigma = _index_array(sigma, space.n, "sigma")
     targets = np.unique(sigma)
     w_sparse = np.zeros(space.n)
     np.add.at(w_sparse, sigma, space.weights)

@@ -15,9 +15,13 @@ same shape and steps them in lockstep, so a step is a fixed number of array
 calls whatever B is, and each run's removals, costs and centers are
 bit-identical to running it alone. The rows of all runs are kept run-major
 in one flat layout, with each row's run and first slot worked out once, and
-the removed slots in one B x |X| mask; a step changes only the rows it must.
-`res_greedy_batch` is the only run loop and `res_greedy` its one-run call; a
-candidate set no larger than k' goes through it as a zero-step run.
+a B x |X| limit array, -inf for a center and +inf for a removed slot, that
+masks removed slots with one `np.maximum`; a step changes only the rows it
+must and returns each run's removed slot. `res_greedy_batch` is the only run
+loop and `res_greedy` its one-run call; a candidate set no larger than k'
+goes through it as a zero-step run. The loop prices costs per block of
+steps, one `Objective.total` over their saved nearest distances, and maps
+removed slots to candidate ids once, after the last step.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from .metric import (
     check_k,
     leq,
 )
+
+
+# Elements of d1 history priced by one `Objective.total` in res_greedy_batch:
+# 32 steps of 2,048 rows
+_COST_BLOCK = _SCAN_CHUNK // 4
 
 
 def means_eps(n: int, k: int) -> float:
@@ -130,7 +139,9 @@ class GreedyState:
         self._runs = np.arange(B)
         self._run = np.repeat(self._runs, self.universe.shape[1])
         self._slot0 = self._run * m
-        self._dead = np.zeros(self.cand.shape, dtype=bool)
+        # per slot, -inf while it is a center and +inf once removed: np.maximum
+        # with it masks removed slots and keeps every other value, -0.0 included
+        self._lim = np.full(self.cand.shape, -np.inf)
         self.size = m
         # argmin takes the first minimum and columns are id-ascending, so ties
         # go to the smaller candidate id
@@ -141,21 +152,24 @@ class GreedyState:
     @property
     def alive(self) -> np.ndarray:
         """B x |X|: which of each run's candidate slots are still centers."""
-        return ~self._dead
+        return self._lim < 0
 
     def _refresh_second(self, rows: np.ndarray) -> None:
-        """s2/d2 of `rows`: first-minimum argmin with s1 and the run's dead
-        slots masked to +inf, in chunks of _SCAN_CHUNK elements. Distances
-        are finite (the oracles reject overflowing inputs), so the minimum is
-        +inf only with one center left, and then s2 is never read."""
+        """s2/d2 of `rows`: first-minimum argmin with s1 and the run's removed
+        slots masked to +inf, in chunks of _SCAN_CHUNK elements; before the
+        first removal there is nothing to mask. Distances are finite (the
+        oracles reject overflowing inputs), so the minimum is +inf only with
+        one center left, and then s2 is never read."""
         step = max(1, _SCAN_CHUNK // self._rows.shape[1])
+        removed = self.size < self._lim.shape[1]
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
             at = np.arange(r.size)
             block = self._rows[r]
-            np.putmask(block, self._dead[self._run[r]], np.inf)
+            if removed:
+                np.maximum(block, self._lim[self._run[r]], out=block)
             block[at, self._s1[r]] = np.inf
-            self._s2[r] = best = np.argmin(block, axis=1)
+            self._s2[r] = best = block.argmin(axis=1)
             self._d2[r] = block[at, best]
 
     def centers(self, b: int = 0) -> list[int]:
@@ -184,30 +198,30 @@ class GreedyState:
         # rows are run-major, so bincount sums each slot's rows in row order
         contrib = self._w * (pc(self._d2) - pc(self._d1))
         return np.bincount(self._s1 + self._slot0, weights=contrib,
-                           minlength=self._dead.size).reshape(self._dead.shape)
+                           minlength=self._lim.size).reshape(self._lim.shape)
 
     def removal_deltas(self, b: int = 0) -> dict[int, float]:
         """change(y) = cost(S - y) - cost(S) for every alive center y of run b."""
         change = self._change_by_slot()[b]
         return {int(self.cand[b, s]): float(change[s]) for s in np.nonzero(self.alive[b])[0]}
 
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
+    def step(self) -> np.ndarray:
         """Remove each run's argmin change(y) (ties to the smallest center id);
-        returns per run the removed center and the shrunken solution's cost.
-        Rows whose s1 was removed take s2 as s1; those rows and the rows whose
-        s2 was removed get a new s2."""
+        returns per run the removed slot, its column in `cand`. The shrunken
+        solutions' costs are `costs()`. Rows whose s1 was removed take s2 as
+        s1; those rows and the rows whose s2 was removed get a new s2."""
         change = self._change_by_slot()
-        np.putmask(change, self._dead, np.inf)
-        y = np.argmin(change, axis=1)
-        self._dead[self._runs, y] = True
+        np.maximum(change, self._lim, out=change)
+        y = change.argmin(axis=1)
+        self._lim[self._runs, y] = np.inf
         self.size -= 1
         y_col = y[:, None]
         promoted = (self._s1.reshape(self.w.shape) == y_col).reshape(-1)
         np.copyto(self._s1, self._s2, where=promoted)
         np.copyto(self._d1, self._d2, where=promoted)
         promoted |= (self._s2.reshape(self.w.shape) == y_col).reshape(-1)
-        self._refresh_second(np.flatnonzero(promoted))
-        return self.cand[self._runs, y], self.costs()
+        self._refresh_second(promoted.nonzero()[0])
+        return y
 
 
 def res_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
@@ -241,14 +255,23 @@ def res_greedy_batch(space: WeightedMetricSpace, candidates, k_prime: int,
     obj = state.objective
     eps = means_eps(space.n, k) if k is not None and obj is Objective.MEANS else None
     B, m = state.cand.shape
-    removed, costs = [], [state.costs()]
-    while state.size > k_prime:
-        y, after = state.step()
-        removed.append(y)
-        costs.append(after)
+    steps = max(0, m - k_prime)
+    # costs before the first step and after each; the d1 of up to `block`
+    # steps wait in `hist` and are priced by one `Objective.total`
+    costs = np.empty((steps + 1, B))
+    costs[0] = state.costs()
+    block = min(steps, max(1, _COST_BLOCK // state._d1.size))
+    hist = np.empty((block, *state.w.shape))
+    slots = np.empty((steps, B), dtype=np.int64)
+    for i in range(steps):
+        slots[i] = state.step()
+        j = i % block
+        hist[j] = state._d1.reshape(state.w.shape)
+        if j == block - 1 or i == steps - 1:
+            costs[i - j + 1 : i + 2] = obj.total(state.w, hist[: j + 1])
     # per run: its removed centers, and its costs before the first step and after each
-    removed = np.reshape(removed, (-1, B)).T.tolist()
-    costs = np.reshape(costs, (-1, B)).T.tolist()
+    removed = np.take_along_axis(state.cand, slots.T, axis=1).tolist()
+    costs = costs.T.tolist()
     sizes = range(m, k_prime, -1)
     return state, [
         BoundCertificate(tuple(cand), k_prime, state.universe.shape[1], obj,

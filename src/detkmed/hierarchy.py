@@ -42,6 +42,7 @@ from .metric import (
     Objective,
     Solution,
     WeightedMetricSpace,
+    _index_array,
     as_objective,
     assign_nearest,
     build_solution,
@@ -228,7 +229,7 @@ def sparsify(space: WeightedMetricSpace, v0, distances=None) -> SparsifiedSpace:
     (ties to the smallest index); w_0 accumulates the projected weight.
     `distances`, the V x V_0 block with V_0 ascending, spares the sweep's
     n * |V_0| queries."""
-    points = np.unique(np.asarray(v0, dtype=np.int64))
+    points = np.unique(_index_array(v0, space.n, "v0"))
     sigma = assign_nearest(space, points, distances=distances)
     w0 = np.zeros(points.size)
     local = np.searchsorted(points, sigma)

@@ -131,15 +131,33 @@ class DistanceOracle:
         return float(self._pairwise(ids[:1], ids[1:])[0, 0])
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances for every (row, col) pair; counts len(rows)*len(cols)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        """Distances for every (row, col) pair of two 1-D integer id arrays;
+        counts len(rows)*len(cols) once the block is answered, so a request
+        the kernel rejects counts nothing."""
+        rows, cols = _id_vector(rows), _id_vector(cols)
+        out = self._pairwise(rows, cols)
         self._bump(rows.size * cols.size)
-        return self._pairwise(rows, cols)
+        return out
 
     def _pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The oracle's one distance kernel: a len(rows) x len(cols) block."""
+        """The oracle's one distance kernel: a len(rows) x len(cols) block.
+        It rejects ids outside [0, n) with MetricInputError, as numpy would
+        wrap a negative id or raise a bare IndexError."""
         raise NotImplementedError
+
+    def _check_range(self, ids: np.ndarray) -> None:
+        # viewed as unsigned, a negative int64 id is larger than any n
+        if ids.size and ids.view(np.uint64).max() >= self._n:
+            raise MetricInputError(f"point ids outside [0, {self._n})")
+
+
+def _id_vector(ids) -> np.ndarray:
+    """ids as a 1-D int64 array, after checking they are a 1-D array of
+    integers (not bools) or empty."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise MetricInputError("point ids must be a 1-D integer array")
+    return arr.astype(np.int64, copy=False)
 
 
 class MatrixOracle(DistanceOracle):
@@ -162,6 +180,8 @@ class MatrixOracle(DistanceOracle):
         self._diameter = float(matrix.max())
 
     def _pairwise(self, rows, cols):
+        self._check_range(rows)
+        self._check_range(cols)
         return self._m[np.ix_(rows, cols)]
 
     def diameter_bound(self) -> float:
@@ -212,6 +232,8 @@ class PointsOracle(DistanceOracle):
         + ..., summed in place and combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
         then the rest left to right; above 128 in halves split at dim/2 rounded
         down to a multiple of 8. The sum goes straight into the output block."""
+        self._check_range(rows)
+        self._check_range(cols)
         out = np.empty((rows.size, cols.size))
         b = self._c.take(cols, 1)[:, None]
         # row chunks of at most _SCAN_CHUNK term elements share one buffer,
@@ -323,9 +345,14 @@ class Solution:
 
 
 def _index_array(ids, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64).ravel()
+    """Nonempty integer (not bool) point ids in [0, n), flattened to int64:
+    one list of ids, or the B rows of a batch."""
+    arr = np.asarray(ids)
     if arr.size == 0:
         raise MetricInputError(f"{name} must be nonempty")
+    if arr.dtype.kind not in "iu" or arr.ndim not in (1, 2):
+        raise MetricInputError(f"{name} must be a 1-D or 2-D array of integer point ids")
+    arr = arr.astype(np.int64, copy=False).ravel()
     if arr.min() < 0 or arr.max() >= n:
         raise MetricInputError(f"{name} contains out-of-range point ids")
     return arr
@@ -369,7 +396,7 @@ def assign_nearest(space: WeightedMetricSpace, centers, universe=None,
     """Nearest center id for each universe point; ties go to the smallest
     point index. Queries |S| * |U|, or nothing when `distances` already holds
     that block with the centers ascending."""
-    S = np.unique(np.asarray(centers, dtype=np.int64))
+    S = np.unique(_index_array(centers, space.n, "centers"))
     _, idx, _ = _sweep(space, S, universe, distances)
     return S[idx]
 
@@ -380,8 +407,9 @@ def build_solution(space: WeightedMetricSpace, centers, objective: Objective | s
     which asks nothing when `distances` already holds that block with the
     centers ascending."""
     obj = as_objective(objective)
-    given = tuple(int(c) for c in centers)
-    S = np.unique(np.asarray(given, dtype=np.int64))
+    ids = _index_array(centers, space.n, "centers")
+    given = tuple(ids.tolist())
+    S = np.unique(ids)
     U, idx, dmin = _sweep(space, S, universe, distances, objective=obj)
     return Solution(given, S[idx], obj.total(space.weights[U], dmin), obj, U)
 

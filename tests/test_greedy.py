@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import detkmed as dk
+from detkmed import greedy
 from detkmed.greedy import GreedyState, RemovalStep, means_eps
 from detkmed.metric import leq
 from tests.conftest import line_space
@@ -33,15 +34,15 @@ def test_line_example_against_naive():
 def test_duplicate_center_removed_at_no_cost():
     sp = line_space([0, 0, 7])
     state = GreedyState(sp, [0, 1, 2])
-    removed, new_cost = state.step()
+    removed = state.step()
     assert removed == 0
-    assert new_cost == 0.0
+    assert state.costs() == 0.0
 
 
 def test_all_equal_changes_tie_rule():
     sp = dk.WeightedMetricSpace.from_matrix(np.ones((4, 4)) - np.eye(4))
     state = GreedyState(sp, [0, 1, 2, 3])
-    removed, _ = state.step()
+    removed = state.step()
     assert removed == 0
 
 
@@ -258,6 +259,10 @@ class _ReferenceGreedyState:
         s1 = self._slot(self._pos1)
         return self.cand[s1], self._D[self._rows, s1]
 
+    def second_distances(self):
+        """Each row's distance to its second-nearest alive center."""
+        return self._D[self._rows, self._slot(self._pos2)]
+
     def current_cost(self):
         return self.objective.total(self.w, self._D[self._rows, self._slot(self._pos1)])
 
@@ -282,7 +287,7 @@ class _ReferenceGreedyState:
         return int(self.cand[y_slot]), self.current_cost()
 
 
-def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, k=None):
+def _reference_run(space, candidates, k_prime, objective, universe=None, k=None):
     state = _ReferenceGreedyState(space, candidates, universe, objective)
     means = k is not None and state.objective is dk.Objective.MEANS
     eps = means_eps(space.n, k) if means else None
@@ -296,6 +301,11 @@ def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, 
         cert.steps.append(RemovalStep(removed, size_before, current, after))
         current = after
     cert.final_cost = current
+    return state, cert
+
+
+def _reference_res_greedy(space, candidates, k_prime, objective, universe=None, k=None):
+    state, cert = _reference_run(space, candidates, k_prime, objective, universe, k)
     ids, d = state.nearest()
     return tuple(state.centers()), ids, state.objective.total(state.w, d), cert
 
@@ -388,3 +398,40 @@ def test_lockstep_batches_match_sorted_cursors():
                         assert np.array_equal(state.nearest(b), ids)
                     groups += 1
     assert groups > 300
+
+
+@pytest.mark.parametrize("steps_per_block", [1, 3, None])
+def test_cost_block_length_keeps_every_bit(steps_per_block, monkeypatch):
+    # costs are priced a block of steps at a time; blocks of 1 and 3 steps
+    # (runs shorter than, a multiple of and not a multiple of a block) and the
+    # default must give the reference's certificates and d1/d2 sign bits
+    def run(sp, cand, k_prime, obj, universe, distances=None):
+        rows = sp.n if universe is None else np.size(universe)
+        if steps_per_block is not None:
+            monkeypatch.setattr(greedy, "_COST_BLOCK", steps_per_block * rows + rows - 1)
+        return dk.res_greedy_batch(sp, cand, k_prime, obj, universe, k=k_prime,
+                                   distances=distances)
+
+    runs = 0
+    for sp in _tie_corpus():
+        pts = sp.all_points()
+        for obj in ("median", "means"):
+            for cand, universe in ((pts, None), (pts[1::2], pts[::2])):
+                for k_prime in range(1, cand.size):
+                    state, (cert,) = run(sp, cand, k_prime, obj, universe)
+                    ref, ref_cert = _reference_run(sp, cand, k_prime, obj, universe, k_prime)
+                    assert cert.dumps() == ref_cert.dumps()
+                    assert np.array_equal(np.signbit(state._d1), np.signbit(ref.nearest()[1]))
+                    if k_prime > 1:
+                        assert np.array_equal(np.signbit(state._d2),
+                                              np.signbit(ref.second_distances()))
+                    runs += 1
+            # two runs in lockstep, each as it gives alone
+            h = sp.n // 2
+            cands, universes = np.stack((pts[:h], pts[-h:])), np.stack((pts[1::2][:h],) * 2)
+            D = np.stack([sp.pairwise(u, c) for u, c in zip(universes, cands)])
+            for k_prime in range(1, h):
+                _, certs = run(sp, cands, k_prime, obj, universes, D)
+                for cert, c, u in zip(certs, cands, universes):
+                    assert cert.dumps() == _reference_run(sp, c, k_prime, obj, u, k_prime)[1].dumps()
+    assert runs > 500

@@ -72,6 +72,41 @@ def test_distance_rejects_ids_out_of_range_before_counting():
         assert sp.distance(n - 1, 0) == sp.distance(0, n - 1)
 
 
+def test_pairwise_and_id_arrays_reject_bad_ids_before_counting():
+    # a negative id must not wrap around, float and bool ids must not be cast
+    # to ints, and ids past the end or 2-D arrays must not raise bare numpy errors
+    from detkmed.adversary import AdversaryOracle, AdversarySession
+
+    n = 6
+    spaces = [dk.WeightedMetricSpace.from_points(np.arange(6.0)[:, None]),
+              dk.WeightedMetricSpace.from_matrix(
+                  np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)),
+              dk.WeightedMetricSpace(AdversaryOracle(AdversarySession(n, 1, 1.0)),
+                                     np.ones(n))]
+    bad = ([-1], np.array([1.7]), np.array([True]), [n], np.array([[0, 1]]),
+           np.array([2**63], dtype=np.uint64), 3)
+    for sp in spaces:
+        for ids in bad:
+            for rows, cols in ((ids, [0]), ([1], ids)):
+                with pytest.raises(dk.MetricInputError):
+                    sp.pairwise(rows, cols)
+        assert sp.oracle.query_count == 0
+        assert sp.pairwise([], [0]).shape == (0, 1)
+        sp.pairwise([5], [0])
+        assert sp.oracle.query_count == 1
+    sp = spaces[0]
+    calls = (lambda ids: dk.cost(sp, ids), lambda ids: dk.cost(sp, [0], universe=ids),
+             lambda ids: dk.build_solution(sp, ids), lambda ids: dk.assign_nearest(sp, ids),
+             lambda ids: dk.res_greedy(sp, ids, 1), lambda ids: dk.sparsify(sp, ids),
+             lambda ids: dk.audit_sparsifier(sp, ids, {0: 0}, 1))
+    for call in calls:
+        for ids in ([1.5], [True, False], [-1], [n], np.zeros((1, 1, 1), dtype=int)):
+            with pytest.raises(dk.MetricInputError):
+                call(ids)
+    assert sp.oracle.query_count == 1
+    assert dk.cost(sp, [1]) == 11.0
+
+
 def _reference_pairwise(points, rows, cols, norm):
     """The point kernel before it went one coordinate at a time: a
     (rows, cols, dim) difference tensor summed over its last axis."""
