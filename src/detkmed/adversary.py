@@ -277,6 +277,8 @@ class AdversarySession:
         """Answer one algorithm query, updating the graph (Cases 1-3)."""
         if self.finalized:
             raise RuntimeError("session already finalized")
+        if x == y or not (0 <= x < self.n and 0 <= y < self.n):
+            raise MetricInputError("queries must name two distinct points")
         if self.budget is not None and self.algo_queries >= self.budget:
             raise QueryBudgetExceededError("query budget exceeded")
         ans = self._answer(x, y)
@@ -284,8 +286,6 @@ class AdversarySession:
         return ans
 
     def _answer(self, x: int, y: int) -> float:
-        if x == y or not (0 <= x < self.n and 0 <= y < self.n):
-            raise MetricInputError("queries must name two distinct points")
         adj = self._adj
         ans = adj[x].get(y)  # Case 1: a repeat
         if ans is None:
@@ -388,19 +388,28 @@ class FinalMetric:
         return s._case3(x, y)[0]
 
     def matrix(self) -> np.ndarray:
-        """Dense metric: shortest-path closure of the augmented graph."""
-        s = self.session
+        """The metric as an n x n array, for n <= 2048, bit for bit `distance`.
+        With at most a quarter of the points closed: 0 on the diagonal, 1
+        between open points and each closed point's `distance` row as its row
+        and column. Past that, `distance` intersects vertex maps grown with
+        the closed points, and the O(n^3) closure of the graph is faster."""
         if self.n > 2048:
             raise MetricInputError("dense finalized metric capped at n = 2048")
-        size = self.n + 1
-        D = np.full((size, size), np.inf)
-        for u, v, w in s.edges():
-            D[u, v] = D[v, u] = w
-        open_ids = np.array([v for v in range(self.n) if s.status[v]], dtype=np.int64)
-        block = D[np.ix_(open_ids, open_ids)]
-        np.minimum(block, 1.0, out=block)
-        D[np.ix_(open_ids, open_ids)] = block
-        return metric_closure(D)[: self.n, : self.n]
+        s = self.session
+        n = self.n
+        closed = [x for x in range(n) if not s.status[x]]
+        if 4 * len(closed) > n:
+            D = np.full((n + 1, n + 1), np.inf)
+            for u, v, w in s.edges():
+                D[u, v] = D[v, u] = w
+            opens = np.array([v for v in range(n) if s.status[v]], dtype=np.int64)
+            clique = np.ix_(opens, opens)
+            D[clique] = np.minimum(D[clique], 1.0)
+            return metric_closure(D)[:n, :n]
+        D = 1.0 - np.eye(n)
+        for x in closed:
+            D[x] = D[:, x] = [self.distance(x, y) for y in range(n)]
+        return D
 
 
 @dataclass
@@ -588,10 +597,22 @@ class AdversaryOracle(DistanceOracle):
         return self.session.L + self.session.L
 
     def _pairwise(self, rows, cols):
-        answer = self.session.answer_query
-        cols = cols.tolist()
-        out = [0.0 if i == j else answer(i, j) for i in rows.tolist() for j in cols]
-        return np.array(out, dtype=np.float64).reshape(rows.size, len(cols))
+        session = self.session
+        answer = session.answer_query
+        before = session.algo_queries
+        n = self._n
+        ids = cols.tolist()
+        try:  # a diagonal id outside [0, n) goes to the session, which rejects it
+            out = [0.0 if i == j and 0 <= i < n else answer(i, j)
+                   for i in rows.tolist() for j in ids]
+        except (QueryBudgetExceededError, MetricInputError):
+            # count the pairs before the stop, the first pair sent to the
+            # session past those it answered
+            r = np.repeat(rows, cols.size)
+            sent = (r != np.tile(cols, rows.size)) | (r.view(np.uint64) >= n)
+            self._bump(int(sent.nonzero()[0][session.algo_queries - before]))
+            raise
+        return np.array(out, dtype=np.float64).reshape(rows.size, cols.size)
 
 
 def run_against(algorithm, n: int, k: int, delta: float,

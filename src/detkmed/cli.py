@@ -131,9 +131,6 @@ def cmd_adversary(args) -> int:
         return 1
     audit = result.audit
     if args.emit_metric:
-        if args.n > 2048:
-            print("adversary: --emit-metric capped at n = 2048", file=sys.stderr)
-            return 2
         write_matrix_csv(args.emit_metric, result.metric.matrix())
     if args.emit_report:
         with open(args.emit_report, "w") as fh:

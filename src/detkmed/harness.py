@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .adversary import AdversarySession, audit_session
 from .baselines import local_search_kmedian
 from .generators import make_instance
 from .greedy import BoundCertificate, res_greedy
@@ -179,8 +180,6 @@ def adversary_report_dict(result) -> dict:
 def replay_adversary(report: dict) -> tuple[bool, list[str]]:
     """Re-drive a logged session and confirm every answer and the final
     consistency audit reproduce exactly."""
-    from .adversary import AdversarySession, audit_session
-
     session = AdversarySession(report["n"], report["k"], report["delta"],
                                Objective(report["objective"]))
     problems: list[str] = []

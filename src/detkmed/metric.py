@@ -120,15 +120,16 @@ class DistanceOracle:
             self._count += amount
 
     def distance(self, i: int, j: int) -> float:
-        """One pair of integer ids (numpy integers too), counted once, from the
-        same kernel as pairwise."""
+        """One pair of integer ids (numpy integers too), counted once answered,
+        from the same kernel as pairwise."""
         if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
                 and 0 <= i < self._n and 0 <= j < self._n):
             raise MetricInputError(
                 f"point ids ({i}, {j}) not integers or outside [0, {self._n})")
-        self._bump(1)
         ids = np.array((i, j), dtype=np.int64)
-        return float(self._pairwise(ids[:1], ids[1:])[0, 0])
+        d = float(self._pairwise(ids[:1], ids[1:])[0, 0])
+        self._bump(1)
+        return d
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances for every (row, col) pair of two 1-D integer id arrays;

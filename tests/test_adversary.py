@@ -12,6 +12,7 @@ import detkmed as dk
 from detkmed.adversary import (AdversarySession, AdversaryOracle, FinalMetric,
                                audit_session, run_against)
 from detkmed.cli import main
+from detkmed.generators import metric_closure
 from detkmed.harness import adversary_algorithm, adversary_report_dict, run_algorithm
 from detkmed.metric import Objective
 
@@ -191,6 +192,18 @@ def test_at_most_two_edges_per_answer():
         assert sess.edge_count() - edges_before <= 2 * answered
 
 
+def hat_closure(sess):
+    """Floyd-Warshall closure of the dense hat graph: every edge, then 1
+    between any two open points, over the points and the gate."""
+    n = sess.n
+    D = np.full((n + 1, n + 1), np.inf)
+    for u, v, w in sess.edges():
+        D[u, v] = D[v, u] = w
+    opens = np.array([v for v in range(n) if sess.status[v]], dtype=np.int64)
+    D[np.ix_(opens, opens)] = np.minimum(D[np.ix_(opens, opens)], 1.0)
+    return metric_closure(D)[:n, :n]
+
+
 def test_finalize_consistency_and_metric_axioms():
     n = 96
     sess = AdversarySession(n, 2, 1.0)
@@ -225,10 +238,36 @@ def test_lazy_distance_agrees_with_dense():
         if x != y:
             sess.answer_query(int(x), int(y))
     metric = sess.finalize([0])
-    D = metric.matrix()
+    assert sess.closed_points() > 0
+    assert np.array_equal(metric.matrix().view(np.uint64), hat_closure(sess).view(np.uint64))
+    G = build_hat_graph(sess)
     for _ in range(300):
         i, j = (int(v) for v in rng.integers(0, n, 2))
-        assert metric.distance(i, j) == pytest.approx(D[i, j], rel=1e-12)
+        expected = nx.dijkstra_path_length(G, i, j)
+        assert metric.distance(i, j) == pytest.approx(expected, rel=1e-12)
+
+
+def test_matrix_is_the_closure_bit_for_bit_past_2L_3():
+    # k = 1: L ~ 1.505, so 2L > 3 and the capped Dijkstra is in play; 32 of
+    # 1024 points close, so matrix() reads `distance`
+    sess = run_against(adversary_algorithm("hierarchical"), 1024, 1, 1.0).session
+    assert 0 < 4 * sess.closed_points() <= sess.n
+    D = FinalMetric(sess).matrix()
+    assert np.array_equal(D.view(np.uint64), hat_closure(sess).view(np.uint64))
+
+
+def test_matrix_of_a_mostly_closed_session_is_distance_bit_for_bit():
+    # the first half of the points asked against every other: they close
+    # and the rest stay open, so matrix() takes the closure with an open clique
+    n = 64
+    sess = AdversarySession(n, 1, 1.0)
+    for x in range(n // 2):
+        for y in range(x + 1, n):
+            sess.answer_query(x, y)
+    metric = sess.finalize([0])
+    assert n < 4 * sess.closed_points() < 4 * n
+    lazy = np.array([[metric.distance(x, y) for y in range(n)] for x in range(n)])
+    assert np.array_equal(metric.matrix().view(np.uint64), lazy.view(np.uint64))
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +381,30 @@ def test_budget_enforcement():
         sess.answer_query(0, i + 1)
     with pytest.raises(dk.QueryBudgetExceededError, match="query budget exceeded"):
         sess.answer_query(0, 6)
+
+
+def test_stopped_request_counts_the_pairs_answered_before_it():
+    # budget 5: the stop comes at the sixth pair sent to the session; in the
+    # square request, (0,0) and (1,1) are answered without it, so the stop is
+    # at (1,3) after 7 pairs
+    for cols, counted in ((np.arange(4, 8), 5), (np.arange(4), 7)):
+        sess = AdversarySession(16, 1, 1.0, budget=5)
+        oracle = AdversaryOracle(sess)
+        with pytest.raises(dk.QueryBudgetExceededError):
+            oracle.pairwise(np.arange(4), cols)
+        assert sess.algo_queries == 5
+        assert oracle.query_count == counted
+    # a bad id stops a request the same way: (0, 1) is answered, (0, 99) is not
+    sess = AdversarySession(16, 1, 1.0)
+    oracle = AdversaryOracle(sess)
+    with pytest.raises(dk.MetricInputError):
+        oracle.pairwise(np.array([0]), np.array([1, 99]))
+    assert sess.algo_queries == oracle.query_count == 1
+    # and a single pair the budget refuses counts nothing
+    oracle = AdversaryOracle(AdversarySession(16, 1, 1.0, budget=0))
+    with pytest.raises(dk.QueryBudgetExceededError):
+        oracle.distance(0, 1)
+    assert oracle.query_count == 0
 
 
 def test_rejected_query_changes_nothing():

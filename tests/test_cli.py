@@ -237,6 +237,14 @@ def test_adversary_cli_rejects_nan_delta(capsys):
     assert "delta must be a finite number of at least 1, got nan" in capsys.readouterr().err
 
 
+def test_adversary_cli_emit_metric_cap_exits_2(tmp_path, capsys):
+    metric = tmp_path / "metric.csv"
+    assert main(["adversary", "--n", "2049", "--k", "1",
+                 "--emit-metric", str(metric)]) == 2
+    assert "dense finalized metric capped at n = 2048" in capsys.readouterr().err
+    assert not metric.exists()
+
+
 def test_adversary_cli_budget_exit(tmp_path):
     rc = main(["adversary", "--algo", "reverse-greedy", "--n", "64", "--k", "2",
                "--delta", "1", "--enforce-budget"])

@@ -74,7 +74,8 @@ def test_distance_rejects_ids_out_of_range_before_counting():
 
 def test_pairwise_and_id_arrays_reject_bad_ids_before_counting():
     # a negative id must not wrap around, float and bool ids must not be cast
-    # to ints, and ids past the end or 2-D arrays must not raise bare numpy errors
+    # to ints, and ids past the end or 2-D arrays must not raise bare numpy
+    # errors; the same holds on the diagonal, which the adversary answers itself
     from detkmed.adversary import AdversaryOracle, AdversarySession
 
     n = 6
@@ -87,7 +88,7 @@ def test_pairwise_and_id_arrays_reject_bad_ids_before_counting():
            np.array([2**63], dtype=np.uint64), 3)
     for sp in spaces:
         for ids in bad:
-            for rows, cols in ((ids, [0]), ([1], ids)):
+            for rows, cols in ((ids, [0]), ([1], ids), (ids, ids)):
                 with pytest.raises(dk.MetricInputError):
                     sp.pairwise(rows, cols)
         assert sp.oracle.query_count == 0
