@@ -66,12 +66,15 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
         # first minimum: ties go to the lower column
         nearest_col = np.argmin(D, axis=1)
         d1 = D[rows, nearest_col]
-        d2 = np.where(np.arange(k) == nearest_col[:, None], np.inf, D).min(axis=1)
+        # d2 with each row's nearest masked in D itself, then d1 written back
+        D[rows, nearest_col] = np.inf
+        d2 = D.min(axis=1)
+        D[rows, nearest_col] = d1
         outside = U[~is_center]
         Dz = space.pairwise(U, outside)
         table = _swap_table(obj, w, d1, d2, nearest_col, k, Dz)
-        # The table and the exact total both sum |U| nonnegative terms,
-        # so each lies within about (|U| + 4) * eps / 2 of the true total, plus
+        # The table and the exact total sum |U| nonnegative terms, so in any
+        # order each is within about (|U| + 4) * eps / 2 of the true total, plus
         # one subnormal per term on underflow; `bound` is twice that at the
         # minimum. Any swap whose exact total can tie or beat the best one,
         # also after the sqrt of normalized-means, has a table value within

@@ -53,8 +53,21 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _parse_list(text: str | None, cast) -> tuple:
-    return tuple(cast(v) for v in (text or "").split(",") if v.strip())
+def _parse_list(text: str | None, cast, flag: str) -> tuple:
+    try:
+        return tuple(cast(v) for v in (text or "").split(",") if v.strip())
+    except ValueError as exc:
+        raise MetricInputError(f"--{flag}: {exc}") from None
+
+
+def _verdict(ok: bool, message: str, violations) -> int:
+    """Exit code of an audit: 0 after `message`, or 1 after one line per violation."""
+    if ok:
+        print(message)
+        return 0
+    for v in violations:
+        print(f"violation: {v}")
+    return 1
 
 
 def cmd_cluster(args) -> int:
@@ -107,10 +120,10 @@ def cmd_bench(args) -> int:
     spec = harness.SweepSpec(
         generator=args.generator,
         params=_parse_params(args.gen_params),
-        ns=_parse_list(args.ns, int),
-        ks=_parse_list(args.ks, int),
+        ns=_parse_list(args.ns, int, "ns"),
+        ks=_parse_list(args.ks, int, "ks"),
         algorithms=tuple(args.algos.split(",") if args.algos else harness.ALGORITHMS),
-        deltas=_parse_list(args.deltas, float) or (harness.GUHA_DELTA,),
+        deltas=_parse_list(args.deltas, float, "deltas") or (harness.GUHA_DELTA,),
         objective=args.objective,
         seed=args.seed,
         with_ratio=args.ratio,
@@ -165,22 +178,13 @@ def cmd_verify(args) -> int:
         space = load_space(args.input, args.format)
         opt, _ = opt_bruteforce(space, args.k, objective=cert.objective)
         rep = audit_certificate(cert, opt, k=args.k, eps=args.eps)
-        if rep.passed:
-            print(f"certificate ok ({rep.steps_checked} steps)")
-            return 0
-        for v in rep.violations:
-            print(f"violation: {v}")
-        return 1
+        return _verdict(rep.passed, f"certificate ok ({rep.steps_checked} steps)",
+                        rep.violations)
     if args.what == "pipeline":
         space = load_space(args.input, args.format)
         audit = audit_pipeline(space, args.k, args.objective)
-        if audit.passed:
-            print(f"pipeline ok: ratio={audit.ratio:.4f} "
-                  f"chain bound={audit.chain_ratio_bound:.4f}")
-            return 0
-        for v in audit.violations:
-            print(f"violation: {v}")
-        return 1
+        return _verdict(audit.passed, f"pipeline ok: ratio={audit.ratio:.4f} "
+                        f"chain bound={audit.chain_ratio_bound:.4f}", audit.violations)
     if args.what == "replay":
         try:
             with open(args.report) as fh:
@@ -189,12 +193,8 @@ def cmd_verify(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             # json.JSONDecodeError is a ValueError
             raise MetricInputError(f"malformed report: {exc!r}") from None
-        if ok:
-            print(f"replay consistent ({len(report['queries'])} answers)")
-            return 0
-        for p in problems:
-            print(f"violation: {p}")
-        return 1
+        return _verdict(ok, f"replay consistent ({len(report['queries'])} answers)",
+                        problems)
     raise MetricInputError(f"unknown verify target {args.what!r}")
 
 
@@ -217,13 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="detkmed",
                                 description="deterministic k-clustering toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True)
+    source.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
 
-    c = sub.add_parser("cluster", help="run one algorithm on one instance")
+    c = sub.add_parser("cluster", parents=[source], help="run one algorithm on one instance")
     c.add_argument("--algo", choices=harness.ALGORITHMS, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--objective", choices=OBJECTIVES, default="median")
-    c.add_argument("--input", required=True)
-    c.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     c.add_argument("--delta", type=float, default=harness.GUHA_DELTA,
                    help="guha time/quality knob")
     c.add_argument("--audit", action="store_true",
@@ -260,21 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run audits")
     vs = v.add_subparsers(dest="what", required=True)
-    vm = vs.add_parser("metric")
-    vm.add_argument("--input", required=True)
-    vm.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
+    vm = vs.add_parser("metric", parents=[source])
     vm.add_argument("--mode", choices=["exhaustive", "sampled"],
                     help="default: exhaustive for n <= 1024, sampled above")
     vm.add_argument("--samples", type=int, default=2000)
-    vc = vs.add_parser("certificate")
+    vc = vs.add_parser("certificate", parents=[source])
     vc.add_argument("--cert", required=True)
-    vc.add_argument("--input", required=True)
-    vc.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
     vc.add_argument("--k", type=int, required=True)
     vc.add_argument("--eps", type=float, default=None)
-    vp = vs.add_parser("pipeline")
-    vp.add_argument("--input", required=True)
-    vp.add_argument("--format", choices=INPUT_FORMATS, default="matrix")
+    vp = vs.add_parser("pipeline", parents=[source])
     vp.add_argument("--k", type=int, required=True)
     vp.add_argument("--objective", choices=OBJECTIVES, default="median")
     vr = vs.add_parser("replay")

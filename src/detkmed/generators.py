@@ -4,10 +4,11 @@ algorithm in the package is seed-free, so runs are reproducible end to end."""
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
-from .metric import MetricInputError, WeightedMetricSpace
+from .metric import MetricInputError, WeightedMetricSpace, check_k
 
 
 def uniform_points(n: int, dim: int = 2, extent: float = 1.0, seed: int = 0,
@@ -62,18 +63,28 @@ GENERATORS = {
 
 def make_instance(kind: str, n: int, seed: int | None = None, /,
                   **params) -> WeightedMetricSpace:
-    """Generator `kind` on n points. The seed (default 0) comes third or as
-    `seed=`, not both; any other key of `params` the generator does not take
-    is an input error, not a TypeError."""
+    """Generator `kind` on n >= 1 points, seeded by a nonnegative integer
+    (default 0) given third or as `seed=`, not both. A key of `params` the
+    generator does not take, or a value not of its default's type, is an
+    input error."""
     if kind not in GENERATORS:
         raise MetricInputError(f"unknown generator {kind!r}")
     gen = GENERATORS[kind]
     if seed is not None and "seed" in params:
         raise MetricInputError("seed given both as an argument and as a parameter")
     seed = params.pop("seed", 0 if seed is None else seed)
-    takes = [p for p in inspect.signature(gen).parameters if p not in ("n", "seed")]
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise MetricInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    defaults = inspect.signature(gen).parameters
+    takes = [p for p in defaults if p not in ("n", "seed")]
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise MetricInputError(f"{kind} takes no parameter {', '.join(unknown)}; "
                                f"it takes {', '.join(takes)}")
-    return gen(n, seed=seed, **params)
+    for key, val in params.items():
+        want = type(defaults[key].default)
+        # an int passes for a float or a bool, and numpy numbers pass
+        cls = {float: numbers.Real, int: numbers.Integral, bool: numbers.Integral}.get(want, want)
+        if not isinstance(val, cls):
+            raise MetricInputError(f"{kind} parameter {key} must be {want.__name__}, got {val!r}")
+    return gen(check_k(n, name="n"), seed=seed, **params)

@@ -6,22 +6,24 @@ universe, stopping once k' centers remain. Cost is measured against the whole
 universe even though centers are confined to X, which is what makes the
 routine usable as a restricted solver inside the hierarchical pipeline.
 
-The state keeps, for every point, its nearest and second-nearest alive
-center under the (distance, center id) order and never sorts: a removal
-promotes the second nearest where the nearest was removed and finds the next
-one with a masked argmin. All distances come from one |U| x |X| matrix per
-run, handed in or requested once. One state holds a batch of B runs of the
-same shape and steps them in lockstep, so a step is a fixed number of array
-calls whatever B is, and each run's removals, costs and centers are
-bit-identical to running it alone. The rows of all runs are kept run-major
-in one flat layout, with each row's run and first slot worked out once, and
-a B x |X| limit array, -inf for a center and +inf for a removed slot, that
-masks removed slots with one `np.maximum`; a step changes only the rows it
-must and returns each run's removed slot. `res_greedy_batch` is the only run
-loop and `res_greedy` its one-run call; a candidate set no larger than k'
-goes through it as a zero-step run. The loop prices costs per block of
-steps, one `Objective.total` over their saved nearest distances, and maps
-removed slots to candidate ids once, after the last step.
+The state keeps, for every point, its nearest and second-nearest alive center
+under the (distance, center id) order and never sorts: a removal promotes the
+second nearest where the nearest was removed and finds the next one with a
+masked argmin. All distances come from one |U| x |X| matrix per run, handed in
+or requested once; the first second-nearest pass masks each row's nearest in
+it and writes it back, so it comes back as handed in (a read-only one is
+copied). One state holds a batch of B runs of the same shape and steps them in
+lockstep, so a step is a fixed number of array calls whatever B is, and each
+run's removals, costs and centers are bit-identical to running it alone. The
+rows of all runs are kept run-major in one flat layout, with each row's run
+and first slot worked out once, and a B x |X| limit array, -inf for a center
+and +inf for a removed slot, that masks removed slots with one `np.maximum`; a
+step changes only the rows it must and returns each run's removed slot.
+`res_greedy_batch` is the only run loop and `res_greedy` its one-run call; a
+candidate set no larger than k' goes through it as a zero-step run. The loop
+prices costs per block of steps, one `Objective.total` over their saved
+nearest distances, and maps removed slots to candidate ids once, after the
+last step.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ class GreedyState:
         self.universe, self.cand = U.reshape(B, -1), cand.reshape(B, -1)
         self.w = space.weights[self.universe]
         m = self.cand.shape[1]
-        # the B*|U| rows of all runs, run-major: distances (a view of the
-        # block), weights, run and the run's first slot in the B*|X| slots
-        self._rows = np.ascontiguousarray(distances).reshape(-1, m)
+        # the B*|U| rows of all runs, run-major: distances (the block, copied
+        # only if read-only or strided), weights, run and the run's first slot
+        self._rows = np.require(distances, requirements="CW").reshape(-1, m)
         self._w = self.w.reshape(-1)
         self._runs = np.arange(B)
         self._run = np.repeat(self._runs, self.universe.shape[1])
@@ -155,19 +157,17 @@ class GreedyState:
         return self._lim < 0
 
     def _refresh_second(self, rows: np.ndarray) -> None:
-        """s2/d2 of `rows`: first-minimum argmin with s1 and the run's removed
-        slots masked to +inf, in chunks of _SCAN_CHUNK elements; before the
-        first removal there is nothing to mask. Distances are finite (the
-        oracles reject overflowing inputs), so the minimum is +inf only with
-        one center left, and then s2 is never read."""
+        """s2/d2 of `rows` after a removal: first-minimum argmin of a copy of
+        the rows with s1 and the run's removed slots masked to +inf, in
+        chunks of _SCAN_CHUNK elements. Distances are finite (the oracles
+        reject overflowing inputs), so the minimum is +inf only with one
+        center left, and then s2 is never read."""
         step = max(1, _SCAN_CHUNK // self._rows.shape[1])
-        removed = self.size < self._lim.shape[1]
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
             at = np.arange(r.size)
             block = self._rows[r]
-            if removed:
-                np.maximum(block, self._lim[self._run[r]], out=block)
+            np.maximum(block, self._lim[self._run[r]], out=block)
             block[at, self._s1[r]] = np.inf
             self._s2[r] = best = block.argmin(axis=1)
             self._d2[r] = block[at, best]
@@ -192,8 +192,13 @@ class GreedyState:
         if self.size < 2:
             raise MetricInputError("cannot empty solution")
         if self._s2 is None:
-            self._s2, self._d2 = np.empty_like(self._s1), np.empty_like(self._d1)
-            self._refresh_second(np.arange(self._s1.size))
+            # before any removal, in the block itself: +inf at each s1, one
+            # argmin, then d1, read from those cells, written back bit for bit
+            at = np.arange(self._s1.size)
+            self._rows[at, self._s1] = np.inf
+            self._s2 = self._rows.argmin(axis=1)
+            self._d2 = self._rows[at, self._s2]
+            self._rows[at, self._s1] = self._d1
         pc = self.objective.point_cost
         # rows are run-major, so bincount sums each slot's rows in row order
         contrib = self._w * (pc(self._d2) - pc(self._d1))

@@ -257,7 +257,8 @@ def _reference_local_search(space, k, objective="median", universe=None):
 def _tie_heavy_corpus():
     """Weighted integer l1 grids, small-integer distance matrices (every
     matrix with entries in [1, 2] is a metric; scaled by 0.1 their sums round
-    differently in different orders), and weighted random instances."""
+    differently in different orders), the weighted grids' distances with their
+    zeros stored as -0.0, and weighted random instances."""
     rng = np.random.default_rng(7)
     spaces = []
     for n in (9, 16, 23, 30):
@@ -270,6 +271,9 @@ def _tie_heavy_corpus():
         spaces.append(dk.WeightedMetricSpace.from_matrix(0.1 * (raw + raw.T)))
         spaces.append(dk.generators.random_matrix(n, seed=n, unit_weights=False))
         spaces.append(dk.generators.uniform_points(n, seed=n, unit_weights=False))
+        signed = np.abs(grid[:, None] - grid[None]).sum(axis=2)
+        signed[signed == 0] = -0.0
+        spaces.append(dk.WeightedMetricSpace.from_matrix(signed, weights))
     # at k = 4 center 3 is swapped out, then swapped back in tied with its
     # duplicate 7: the tie goes to 3 only if it re-enters in universe order
     grid = [[3, 0], [2, 2], [0, 0], [3, 1], [0, 0], [0, 0], [2, 0], [3, 1],
@@ -310,6 +314,29 @@ def test_local_search_matches_reference_scan(objective, monkeypatch):
         ref = _reference_local_search(sp, 3, objective)
         _assert_same(dk.local_search_kmedian(sp, 3, objective), ref)
     assert checked >= 200
+
+
+@pytest.mark.parametrize("objective", ["median", "means", "normalized-means"])
+def test_swap_table_window_covers_any_summation_order(objective, monkeypatch):
+    # the table's keep term is a BLAS product whose summation order is the
+    # build's; a sum of |U| nonnegative terms in any order lies within about
+    # (|U| + 1) * eps of the true one, so entries moved that far must still
+    # re-check to the swaps the exhaustive scan picks
+    import detkmed.baselines as baselines
+
+    table_of = baselines._swap_table
+    rng = np.random.default_rng(5)
+
+    def perturbed(obj, w, *args):
+        table = table_of(obj, w, *args)
+        eps = (w.size + 1) * np.finfo(np.float64).eps
+        return table * rng.uniform(1.0 - eps, 1.0 + eps, size=table.shape)
+
+    monkeypatch.setattr(baselines, "_swap_table", perturbed)
+    for sp in _tie_heavy_corpus():
+        for k in sorted({1, 2, 3, 4, 6, sp.n - 1}):
+            _assert_same(dk.local_search_kmedian(sp, k, objective),
+                         _reference_local_search(sp, k, objective))
 
 
 def test_local_search_queries_match_reference_scan():

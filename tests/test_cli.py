@@ -199,6 +199,23 @@ def test_gen_params_reject_keys_the_generator_does_not_take(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bench", "--ns", "10,x", "--ks", "2"], "--ns: invalid literal for int()"),
+    (["bench", "--ns", "10", "--ks", "2", "--deltas", "x"], "--deltas: could not convert"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "dim=x"],
+     "uniform-points parameter dim must be int, got 'x'"),
+    (["gen", "--kind", "uniform-points", "--n", "5", "--seed", "-1"],
+     "seed must be a nonnegative integer, got -1"),
+    (["gen", "--kind", "uniform-points", "--n", "-1"], "n must lie in [1, inf], got -1"),
+])
+def test_bad_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_make_instance_takes_the_seed_once():
     a = make_instance("uniform-points", 10, 3, dim=3)
     b = make_instance("uniform-points", 10, seed=3, dim=3)

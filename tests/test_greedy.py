@@ -351,6 +351,24 @@ def _tie_corpus():
     return spaces
 
 
+def test_first_second_nearest_pass_leaves_the_block_as_it_was():
+    # the first second-nearest pass writes +inf into the caller's block and
+    # then the nearest distances back: -0.0 entries and all, the block's bits
+    # come back; a read-only block is copied and gives the same certificate
+    for sp in _tie_corpus()[:6]:  # the signed-zero spaces
+        pts = sp.all_points()
+        for obj in ("median", "means"):
+            D = sp.pairwise(pts, pts)
+            bits = D.view(np.uint64).copy()
+            _, (cert,) = dk.res_greedy_batch(sp, pts, 1, obj, k=1, distances=D)
+            assert np.array_equal(D.view(np.uint64), bits)
+            frozen = D.copy()
+            frozen.flags.writeable = False
+            _, (again,) = dk.res_greedy_batch(sp, pts, 1, obj, k=1, distances=frozen)
+            assert again.dumps() == cert.dumps()
+            assert np.array_equal(frozen.view(np.uint64), bits)
+
+
 def test_masked_argmin_state_matches_sorted_cursors():
     runs = 0
     for sp in _tie_corpus():
