@@ -30,10 +30,11 @@ neighbors, and below an enumeration threshold those are provably
 exhaustive; only candidates above it fall back to a capped Dijkstra that
 relaxes the open clique once at the first open vertex it settles. The
 two-edge minimum is 2 when the endpoints share a unit neighbor (one set
-disjointness test against a closed endpoint's frozen set), else the gate
-route 2L while that costs at most one unit edge plus the lightest other
-edge; only past that, and after the virtual candidate misses 2, are common
-neighbors enumerated, by intersecting the two vertex maps.
+disjointness test against a closed endpoint's frozen set, newest unit
+neighbor first), else the gate route 2L while that costs at most one unit
+edge plus the lightest other edge; only past that, and after the virtual
+candidate misses 2, are common neighbors enumerated, by intersecting the
+two vertex maps. The consistency audit reads each map and the log once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -233,10 +235,10 @@ class AdversarySession:
         ax, ay = self._adj[x], self._adj[y]
         best = ax.get(y, math.inf)
         sx, sy = self._unit_set[x], self._unit_set[y]
-        if sx is None:
-            shared = not sy.isdisjoint(self._unit_nbrs[x])
+        if sx is None:  # newest first: recent unit neighbors hit far sooner
+            shared = not sy.isdisjoint(reversed(self._unit_nbrs[x]))
         elif sy is None:
-            shared = not sx.isdisjoint(self._unit_nbrs[y])
+            shared = not sx.isdisjoint(reversed(self._unit_nbrs[y]))
         else:
             shared = not sx.isdisjoint(sy)
         if shared:
@@ -456,32 +458,36 @@ def _consistency_violations(session: AdversarySession, metric: FinalMetric) -> l
     search, and only heavier edges are re-derived through the final metric.
     """
     out = []
-    gate, L, status = session.gate, session.L, session.status
+    adj, gate, L, status, qa = session._adj, session.gate, session.L, session.status, session._qa
     lb = 2.0 * min(1.0, L)
-    for u, v, w in session.edges():
-        if v == gate:  # edges() yields u < v, and the gate is vertex n
-            if w == L:
+    # each edge once, in edges() order; point-point unit edges, most entries, go first
+    for u in range(gate):
+        for v, w in adj[u].items():
+            if (w == 1.0 and v != gate) or v < u:
                 continue
-            bad = f"gate edge ({u},{v}) has weight {w!r} != log_M n"
-        elif w == 1.0:
-            continue
-        elif w < lb:
-            bad = f"pair ({u},{v}): weight {w!r} is neither 1 nor at least {lb!r}"
-        elif status[u] and status[v]:
-            bad = f"pair ({u},{v}): weight {w!r} joins two open points"
-        elif w <= lb or close(d := metric.distance(u, v), w):
-            continue
-        else:
-            bad = f"pair ({u},{v}): answered {w!r} but final distance {d!r}"
-        out.append(bad)
-        if len(out) > 20:
-            out.append("... consistency check aborted after 20 violations")
-            return out
-    # logged answers must equal the edge weights they created
-    adj = session._adj
-    for i, (x, y, a) in enumerate(zip(session._qx, session._qy, session._qa)):
-        if adj[x].get(y) != a:
-            out.append(f"log entry {i} disagrees with its edge weight")
+            if v == gate:
+                if w == L:
+                    continue
+                bad = f"gate edge ({u},{v}) has weight {w!r} != log_M n"
+            elif w < lb:
+                bad = f"pair ({u},{v}): weight {w!r} is neither 1 nor at least {lb!r}"
+            elif status[u] and status[v]:
+                bad = f"pair ({u},{v}): weight {w!r} joins two open points"
+            elif w <= lb or close(d := metric.distance(u, v), w):
+                continue
+            else:
+                bad = f"pair ({u},{v}): answered {w!r} but final distance {d!r}"
+            out.append(bad)
+            if len(out) > 20:
+                out.append("... consistency check aborted after 20 violations")
+                return out
+    # logged answers must equal their edge weights (NaN if missing), in blocks to bound peak RSS
+    got = map(dict.get, map(adj.__getitem__, session._qx), session._qy, repeat(math.nan))
+    for i in range(0, len(qa), 4096):
+        block = qa[i:i + 4096]  # a copy: a view of the log would block later answers
+        bad = np.flatnonzero(np.fromiter(got, np.float64, len(block)) != block)
+        if bad.size:
+            out.append(f"log entry {i + bad[0]} disagrees with its edge weight")
             break
     return out
 

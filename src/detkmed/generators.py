@@ -65,8 +65,8 @@ def make_instance(kind: str, n: int, seed: int | None = None, /,
                   **params) -> WeightedMetricSpace:
     """Generator `kind` on n >= 1 points, seeded by a nonnegative integer
     (default 0) given third or as `seed=`, not both. A key of `params` the
-    generator does not take, or a value not of its default's type, is an
-    input error."""
+    generator does not take, or a value not of its default's type or out of
+    range, is an input error (the generator functions check no ranges)."""
     if kind not in GENERATORS:
         raise MetricInputError(f"unknown generator {kind!r}")
     gen = GENERATORS[kind]
@@ -87,4 +87,13 @@ def make_instance(kind: str, n: int, seed: int | None = None, /,
         cls = {float: numbers.Real, int: numbers.Integral, bool: numbers.Integral}.get(want, want)
         if not isinstance(val, cls):
             raise MetricInputError(f"{kind} parameter {key} must be {want.__name__}, got {val!r}")
+    vals = {key: p.default for key, p in defaults.items()} | params
+    for key in ("extent", "spread", "low", "high"):
+        if key in vals and not 0 <= vals[key] < np.inf:
+            raise MetricInputError(f"{kind} parameter {key} must be finite and at least 0, "
+                                   f"got {vals[key]!r}")
+    if vals.get("dim", 1) < 1:
+        raise MetricInputError(f"{kind} parameter dim must be at least 1, got {vals['dim']!r}")
+    if vals.get("low", 0) > vals.get("high", 0):
+        raise MetricInputError(f"{kind}: low {vals['low']!r} exceeds high {vals['high']!r}")
     return gen(check_k(n, name="n"), seed=seed, **params)

@@ -10,11 +10,11 @@ import pytest
 
 import detkmed as dk
 from detkmed.adversary import (AdversarySession, AdversaryOracle, FinalMetric,
-                               audit_session, run_against)
+                               _consistency_violations, audit_session, run_against)
 from detkmed.cli import main
 from detkmed.generators import metric_closure
 from detkmed.harness import adversary_algorithm, adversary_report_dict, run_algorithm
-from detkmed.metric import Objective
+from detkmed.metric import Objective, close
 
 
 def build_hat_graph(sess):
@@ -321,20 +321,128 @@ def _mutate_gate(sess):
     _set_weight(sess, 7, sess.gate, sess.L + 0.5)
 
 
+def _mutate_unit_gate(sess):
+    # weight 1 is skipped unchecked between points, never on a gate edge
+    _set_weight(sess, 7, sess.gate, 1.0)
+
+
+def _mutate_many(sess):
+    # gate and point-point violations interleaved, past the cap of 20
+    heavy = list(itertools.islice((e for e in sess.edges() if e[2] != 1.0), 30))
+    assert 0 < sum(v == sess.gate for _, v, _ in heavy) < len(heavy)
+    for u, v, w in heavy:
+        _set_weight(sess, u, v, w + 0.5 if v == sess.gate else 1.5)
+
+
+def _consistency_violations_reference(session, metric):
+    """The consistency check as one generator pass over edges() and one
+    Python loop over the log: the reference for its one-pass form."""
+    out = []
+    gate, L, status = session.gate, session.L, session.status
+    lb = 2.0 * min(1.0, L)
+    for u, v, w in session.edges():
+        if v == gate:  # edges() yields u < v, and the gate is vertex n
+            if w == L:
+                continue
+            bad = f"gate edge ({u},{v}) has weight {w!r} != log_M n"
+        elif w == 1.0:
+            continue
+        elif w < lb:
+            bad = f"pair ({u},{v}): weight {w!r} is neither 1 nor at least {lb!r}"
+        elif status[u] and status[v]:
+            bad = f"pair ({u},{v}): weight {w!r} joins two open points"
+        elif w <= lb or close(d := metric.distance(u, v), w):
+            continue
+        else:
+            bad = f"pair ({u},{v}): answered {w!r} but final distance {d!r}"
+        out.append(bad)
+        if len(out) > 20:
+            out.append("... consistency check aborted after 20 violations")
+            return out
+    # logged answers must equal the edge weights they created
+    adj = session._adj
+    for i, (x, y, a) in enumerate(zip(session._qx, session._qy, session._qa)):
+        if adj[x].get(y) != a:
+            out.append(f"log entry {i} disagrees with its edge weight")
+            break
+    return out
+
+
+def _assert_matches_reference(sess):
+    metric = FinalMetric(sess)
+    violations = _consistency_violations(sess, metric)
+    assert violations == _consistency_violations_reference(sess, metric)
+    return violations
+
+
 @pytest.mark.parametrize("mutate,message", [
     (_mutate_shortcut, "weight 0.9 is neither 1 nor at least 2.0"),
     (_mutate_lowered, "weight 1.5 is neither 1 nor at least 2.0"),
     (_mutate_raised, "answered 2.5 but final distance 2.0"),
     (_mutate_reopened, "joins two open points"),
     (_mutate_gate, "gate edge (7,1024) has weight"),
+    (_mutate_unit_gate, "gate edge (7,1024) has weight 1.0 != log_M n"),
+    (_mutate_many, "... consistency check aborted after 20 violations"),
 ])
 def test_consistency_audit_catches_mutants(finalized_hierarchical_1024, mutate, message):
     # mutated after finalize, whose own answers would close a reopened
     # point again
     sess = copy.deepcopy(finalized_hierarchical_1024)
     mutate(sess)
+    assert any(message in v for v in _assert_matches_reference(sess))
     violations = audit_session(sess, FinalMetric(sess)).violations
     assert any(message in v for v in violations), violations
+
+
+def _mutate_logged_answer(sess, value):
+    i = len(sess._qa) // 2
+    sess._qa[i] = sess._qa[i] + 1.0 if value is None else value
+    return i
+
+
+def _mutate_deleted_pair(sess, _):
+    # finalize's last answer, asked before: its first log entry is named
+    qx, qy, _ = sess.transcript()
+    x, y = int(qx[-1]), int(qy[-1])
+    del sess._adj[x][y], sess._adj[y][x]
+    logged = np.flatnonzero(((qx == x) & (qy == y)) | ((qx == y) & (qy == x)))
+    assert logged.size > 1
+    return int(logged[0])
+
+
+@pytest.mark.parametrize("mutate,value", [
+    (_mutate_logged_answer, None),
+    (_mutate_logged_answer, math.nan),
+    (_mutate_deleted_pair, None),
+])
+def test_consistency_audit_names_the_first_disagreeing_log_entry(
+        finalized_hierarchical_1024, mutate, value):
+    sess = copy.deepcopy(finalized_hierarchical_1024)
+    i = mutate(sess, value)
+    assert _assert_matches_reference(sess)[-1] == f"log entry {i} disagrees with its edge weight"
+    violations = audit_session(sess, FinalMetric(sess)).violations
+    assert f"log entry {i} disagrees with its edge weight" in violations, violations
+
+
+@pytest.mark.parametrize("n,objective", [(1024, "median"), (1024, "means"), (4096, "median")])
+def test_consistency_audit_matches_reference_unmutated(n, objective):
+    # L ~ 1.31 at n = 1024 median; at n = 4096, L ~ 1.52 and 2L > 3
+    assert _assert_matches_reference(_finalized_hierarchical(n, 2, objective)) == []
+
+
+def test_run_against_answers_once_per_algorithm_query(monkeypatch):
+    # perfbench's traced mode counts one answer_query span per algorithm query
+    calls = 0
+    answer = AdversarySession.answer_query
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return answer(self, x, y)
+
+    monkeypatch.setattr(AdversarySession, "answer_query", counted)
+    result = run_against(adversary_algorithm("hierarchical"), 130, 2, 1.0, "median")
+    assert calls == result.audit.algo_queries > 0
 
 
 def test_finalize_pads_with_smallest_unused():

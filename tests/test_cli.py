@@ -207,6 +207,18 @@ def test_gen_params_reject_keys_the_generator_does_not_take(tmp_path, capsys, co
     (["gen", "--kind", "uniform-points", "--n", "5", "--seed", "-1"],
      "seed must be a nonnegative integer, got -1"),
     (["gen", "--kind", "uniform-points", "--n", "-1"], "n must lie in [1, inf], got -1"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "extent=-1"],
+     "uniform-points parameter extent must be finite and at least 0, got -1"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "extent=nan"],
+     "uniform-points parameter extent must be finite and at least 0, got nan"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "dim=-2"],
+     "uniform-points parameter dim must be at least 1, got -2"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "dim=0"],
+     "uniform-points parameter dim must be at least 1, got 0"),
+    (["gen", "--kind", "clustered-points", "--n", "10", "--gen-params", "spread=-1"],
+     "clustered-points parameter spread must be finite and at least 0, got -1"),
+    (["gen", "--kind", "random-matrix", "--n", "10", "--gen-params", "low=5,high=1"],
+     "random-matrix: low 5 exceeds high 1"),
 ])
 def test_bad_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
