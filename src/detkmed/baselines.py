@@ -111,27 +111,24 @@ def _swap_table(obj: Objective, w: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     With p1, p2 the point costs of each point's nearest and second-nearest
     center, PZ those of the candidates and M1 = min(p1, PZ), swapping column
     c for candidate z costs keep[z] + sum over points x nearest to c of
-    w_x * (min(p2, PZ) - M1)[x, z], with keep = w @ M1. Points are grouped by
-    nearest column, so one pass over the candidate columns fills the table.
+    w_x * (min(p2, PZ) - M1)[x, z], with keep = w @ M1. The sums are one
+    bincount keyed by (nearest column, candidate), which adds each bin's
+    points in row order.
     """
-    grp = np.argsort(nearest_col, kind="stable")
-    # the grouped columns are sorted: a run starts where they change
-    ordered = nearest_col[grp]
-    starts = np.diff(ordered, prepend=-1).nonzero()[0]
-    cols = ordered[starts]
-    wg = w[grp]
-    p1 = obj.point_cost(d1[grp])[:, None]
-    p2 = obj.point_cost(d2[grp])[:, None]
-    table = np.zeros((k, Dz.shape[1]))
-    step = max(1, _SCAN_CHUNK // grp.size)
+    p1 = obj.point_cost(d1)[:, None]
+    p2 = obj.point_cost(d2)[:, None]
+    table = np.empty((k, Dz.shape[1]))
+    step = min(Dz.shape[1], max(1, _SCAN_CHUNK // w.size))
+    key = (nearest_col * step)[:, None] + np.arange(step)
     for lo in range(0, Dz.shape[1], step):
-        pz = obj.point_cost(Dz[grp, lo : lo + step])
+        pz = obj.point_cost(Dz[:, lo : lo + step])
         m1 = np.minimum(p1, pz)
-        table[:, lo : lo + step] = wg @ m1
-        np.minimum(p2, pz, out=pz)
-        pz -= m1
-        pz *= wg[:, None]
-        table[cols, lo : lo + step] += np.add.reduceat(pz, starts, axis=0)
+        moved = np.minimum(p2, pz)  # in place from here: for median pz is a view of Dz
+        moved -= m1
+        moved *= w[:, None]
+        z = pz.shape[1]
+        sums = np.bincount(key[:, :z].ravel(), moved.ravel(), k * step).reshape(k, step)
+        table[:, lo : lo + z] = w @ m1 + sums[:, :z]
     return table
 
 

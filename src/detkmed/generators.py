@@ -66,7 +66,8 @@ def make_instance(kind: str, n: int, seed: int | None = None, /,
     """Generator `kind` on n >= 1 points, seeded by a nonnegative integer
     (default 0) given third or as `seed=`, not both. A key of `params` the
     generator does not take, or a value not of its default's type or out of
-    range, is an input error (the generator functions check no ranges)."""
+    range, is an input error (the generator functions check no ranges), and
+    so is a space of two or more points whose every distance is 0."""
     if kind not in GENERATORS:
         raise MetricInputError(f"unknown generator {kind!r}")
     gen = GENERATORS[kind]
@@ -96,4 +97,7 @@ def make_instance(kind: str, n: int, seed: int | None = None, /,
         raise MetricInputError(f"{kind} parameter dim must be at least 1, got {vals['dim']!r}")
     if vals.get("low", 0) > vals.get("high", 0):
         raise MetricInputError(f"{kind}: low {vals['low']!r} exceeds high {vals['high']!r}")
-    return gen(check_k(n, name="n"), seed=seed, **params)
+    space = gen(check_k(n, name="n"), seed=seed, **params)
+    if space.n > 1 and space.oracle.diameter_bound() == 0:
+        raise MetricInputError(f"{kind}: these parameters put every point at distance 0")
+    return space

@@ -12,14 +12,14 @@ candidate set has size <= 4k). A level's parts of one size share one shape,
 and each such group is built by array operations and solved in one lockstep
 batch, whose alive mask gives the survivors; only the requests run per node,
 in node order. It asks each pair at most once outside the leaves' own
-squares: a node's matrix is assembled from its children's surviving columns
-plus the two cross blocks, and the root's surviving columns are the
-V x V_0 block that Phase III reads. Phase III projects the space onto the
-<= 2k survivors, accumulates weights, and runs the constant-factor
-local-search solver on that sparsified space; the projection and the final
-nearest-center sweep read that block, so only the local search asks the
-oracle. The baseline splits by its branching schedule q instead and solves
-every part with local search on the surviving weighted points.
+squares: a node's matrix is assembled from its children's kept columns plus
+the two cross blocks. Only the kept columns of a solved group go up, and the
+root's are the V x V_0 block that Phase III reads. Phase III projects the
+space onto the <= 2k survivors, accumulates weights, and runs the
+constant-factor local-search solver on that sparsified space; the projection
+and the final nearest-center sweep read that block, so only the local search
+asks the oracle. The baseline splits by its branching schedule q instead and
+solves every part with local search on the surviving weighted points.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .baselines import (
     composition_factor,
     local_search_kmedian,
 )
-from .greedy import BoundCertificate, audit_certificate, res_greedy_batch
+from .greedy import _COST_BLOCK, BoundCertificate, audit_certificate, res_greedy_batch
 from .metric import (
     EnumerationBudgetError,
     MetricInputError,
@@ -135,12 +135,68 @@ def build_partitions(space: WeightedMetricSpace, k: int) -> PartitionHierarchy:
     return PartitionHierarchy(n=n, k=k, depth=depth, bounds=split_levels(n, [2] * depth))
 
 
-def _survivors(group, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centers and surviving columns of a solved group's runs `rows`, the
-    columns by one take over the flat block."""
-    C, D, kept = group
-    at = ((rows * D.shape[1])[:, None] + np.arange(D.shape[1])) * D.shape[2]
-    return C[rows], D.reshape(-1).take(at[..., None] + kept[rows][:, None])
+def _compact(D: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The columns of a solved B x |X| x |R| block D that run b keeps, slots
+    kept[b], by one flat take per row chunk whose index holds at most
+    _COST_BLOCK elements."""
+    B, s, m = D.shape
+    out = np.empty((B * s, kept.shape[1]))
+    step = max(1, _COST_BLOCK // kept.shape[1])
+    for lo in range(0, B * s, step):
+        r = np.arange(lo, min(lo + step, B * s))
+        out[lo : lo + step] = D.reshape(-1).take((r * m)[:, None] + kept[r // s])
+    return out.reshape(B, s, -1)
+
+
+def _level(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, i: int, k: int,
+           obj: Objective, below: dict, kid_row: np.ndarray | None) -> np.ndarray:
+    """Phase II at level i. Empties `below`, part size -> (centers, kept block)
+    a level down, once copied, and refills it a level up; returns each part's
+    run in its group."""
+    bounds = hierarchy.bounds[i]
+    sizes = np.diff(bounds)
+    nodes, row = np.flatnonzero(sizes), np.zeros_like(sizes)
+    groups, asks = {}, {}
+    for s in np.unique(sizes[nodes]).tolist():
+        js = np.flatnonzero(sizes == s)
+        B, row[js] = js.size, np.arange(js.size)
+        X = bounds[js, None] + np.arange(s)  # the parts
+        if i == hierarchy.depth:  # a one-point leaf asks nothing: d(x, x) = 0
+            D = np.empty((B, s, s)) if s > 1 else np.zeros((B, 1, 1))
+            groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)] * (s > 1)
+            continue
+        na, nb = (s + 1) // 2, s // 2
+        ma, mb = below[na][0].shape[1], below[nb][0].shape[1] if nb else 0
+        D = np.empty((B, s, ma + mb))
+        Ca, D[:, :na, :ma] = (a[kid_row[2 * js]] for a in below[na])
+        if nb == 0:  # a single point: its child's center and column
+            groups[s], asks[s] = (js, X, Ca, D, None), []
+            continue
+        Cb, D[:, na:, ma:] = (a[kid_row[2 * js + 1]] for a in below[nb])
+        kept = Cb - X[:, na:na + 1]  # the rows of c(b) in b, then those of b minus c(b)
+        rest = np.delete(np.tile(np.arange(nb), B), kept + nb * row[js, None]).reshape(B, -1)
+        groups[s] = js, X, np.concatenate([Ca, Cb], axis=1), D, (Ca - X[:, :1], kept, rest)
+        # (b minus c(b)) x c(a) lands in b's first rows, to move to its own
+        asks[s] = [(D[:, :na, ma:], X[:, :na], Cb)] + [
+            (D[:, na:s - mb, :ma], rest + X[:, na:na + 1], Ca)] * (nb > mb)
+    below.clear()  # every kept column now sits in its parent's block
+    for s, t in zip(sizes[nodes].tolist(), row[nodes].tolist()):
+        for out, rows, cols in asks[s]:
+            out[t] = space.pairwise(rows[t], cols[t])
+    for s, (js, X, R, D, fill) in groups.items():
+        if fill is not None:
+            at = np.arange(js.size)[:, None]
+            ca, kept, rest = fill
+            na, ma = (s + 1) // 2, ca.shape[1]
+            # b's first rows move to their own (numpy copies the overlap first)
+            D[:, na:, :ma][at, rest] = D[:, na:na + rest.shape[1], :ma]
+            D[:, na:, :ma][at, kept] = D[:, :na, ma:][at, ca].transpose(0, 2, 1)
+        state, certs = res_greedy_batch(space, R, 2 * k, obj, X, k=k, distances=D)
+        C = R[state.alive].reshape(js.size, -1)  # each run's alive centers, ascending
+        for j, centers, cert in zip(js.tolist(), C.tolist(), certs):
+            hierarchy.centers[i][j], hierarchy.certificates[i][j] = centers, cert
+        below[s] = C, _compact(D, np.nonzero(state.alive)[1].reshape(C.shape))
+    return row
 
 
 def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
@@ -149,63 +205,19 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
     the V x V_0 block that sparsify reads (centers ascending). A part's
     subtree depends only on its size, so a level's parts of one size form a
     group: array operations build its B x |X| x |R| block from the boundaries
-    and the children's surviving columns, one `res_greedy_batch` solves it,
-    and its survivors and their slots are read off the state's alive mask.
-    Only the requests run per node, in node order: a leaf asks X x X (a
+    and the children's kept columns, one `res_greedy_batch` solves it, and
+    only the columns of its survivors, read off the state's alive mask, go
+    up. Only the requests run per node, in node order: a leaf asks X x X (a
     one-point leaf asks nothing, its block is d(x, x) = 0); a node X = a ++ b,
     R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a), and its
     c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is symmetric)."""
     obj = as_objective(objective)
     hierarchy.centers = [[[] for _ in range(b.size - 1)] for b in hierarchy.bounds]
     hierarchy.certificates = [[None] * (b.size - 1) for b in hierarchy.bounds]
-    below, row = {}, None  # part size -> (centers, block, surviving slots) a level down
+    below, row = {}, None
     for i in range(hierarchy.depth, -1, -1):
-        bounds = hierarchy.bounds[i]
-        sizes = np.diff(bounds)
-        nodes, kid_row, row = np.flatnonzero(sizes), row, np.zeros_like(sizes)
-        groups, asks = {}, {}
-        for s in np.unique(sizes[nodes]).tolist():
-            js = np.flatnonzero(sizes == s)
-            B, row[js] = js.size, np.arange(js.size)
-            X = bounds[js, None] + np.arange(s)  # the parts
-            if i == hierarchy.depth:  # a one-point leaf asks nothing: d(x, x) = 0
-                D = np.empty((B, s, s)) if s > 1 else np.zeros((B, 1, 1))
-                groups[s], asks[s] = (js, X, X, D, None), [(D, X, X)] * (s > 1)
-                continue
-            na, nb = (s + 1) // 2, s // 2
-            ma, mb = below[na][0].shape[1], below[nb][0].shape[1] if nb else 0
-            D = np.empty((B, s, ma + mb))
-            Ca, D[:, :na, :ma] = _survivors(below[na], kid_row[2 * js])
-            if nb == 0:  # a single point: its child's center and column
-                groups[s], asks[s] = (js, X, Ca, D, None), []
-                continue
-            Cb, D[:, na:, ma:] = _survivors(below[nb], kid_row[2 * js + 1])
-            kept = Cb - X[:, na:na + 1]  # the rows of c(b) in b, then those of b minus c(b)
-            rest = np.delete(np.tile(np.arange(nb), B), kept + nb * row[js, None]).reshape(B, -1)
-            groups[s] = js, X, np.concatenate([Ca, Cb], axis=1), D, (Ca - X[:, :1], kept, rest)
-            # (b minus c(b)) x c(a) lands in b's first rows, to move to its own
-            asks[s] = [(D[:, :na, ma:], X[:, :na], Cb)] + [
-                (D[:, na:s - mb, :ma], rest + X[:, na:na + 1], Ca)] * (nb > mb)
-        below = None  # every surviving column now sits in its parent's block
-        for s, t in zip(sizes[nodes].tolist(), row[nodes].tolist()):
-            for out, rows, cols in asks[s]:
-                out[t] = space.pairwise(rows[t], cols[t])
-        below = {}
-        for s, (js, X, R, D, fill) in groups.items():
-            if fill is not None:
-                at = np.arange(js.size)[:, None]
-                ca, kept, rest = fill
-                na, ma = (s + 1) // 2, ca.shape[1]
-                # b's first rows move to their own (numpy copies the overlap first)
-                D[:, na:, :ma][at, rest] = D[:, na:na + rest.shape[1], :ma]
-                D[:, na:, :ma][at, kept] = D[:, :na, ma:][at, ca].transpose(0, 2, 1)
-            state, certs = res_greedy_batch(space, R, 2 * k, obj, X, k=k, distances=D)
-            alive, state = state.alive, None  # the state holds D: let `below` free it
-            C = R[alive].reshape(js.size, -1)  # each run's alive centers, ascending
-            for j, centers, cert in zip(js.tolist(), C.tolist(), certs):
-                hierarchy.centers[i][j], hierarchy.certificates[i][j] = centers, cert
-            below[s] = C, D, np.nonzero(alive)[1].reshape(C.shape)
-    return hierarchy.centers[0][0], _survivors(below[hierarchy.n], np.zeros(1, dtype=int))[1][0]
+        row = _level(space, hierarchy, i, k, obj, below, row)  # its arrays die with it
+    return hierarchy.centers[0][0], below[hierarchy.n][1][0]
 
 
 @dataclass

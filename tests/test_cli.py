@@ -219,6 +219,12 @@ def test_gen_params_reject_keys_the_generator_does_not_take(tmp_path, capsys, co
      "clustered-points parameter spread must be finite and at least 0, got -1"),
     (["gen", "--kind", "random-matrix", "--n", "10", "--gen-params", "low=5,high=1"],
      "random-matrix: low 5 exceeds high 1"),
+    (["gen", "--kind", "uniform-points", "--n", "10", "--gen-params", "extent=0"],
+     "uniform-points: these parameters put every point at distance 0"),
+    (["gen", "--kind", "clustered-points", "--n", "10", "--gen-params", "clusters=1,spread=0"],
+     "clustered-points: these parameters put every point at distance 0"),
+    (["gen", "--kind", "random-matrix", "--n", "10", "--gen-params", "low=0,high=0"],
+     "random-matrix: these parameters put every point at distance 0"),
 ])
 def test_bad_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
