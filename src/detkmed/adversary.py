@@ -23,7 +23,7 @@ all its n - 1 pairs are answered, so no answer needs a virtual edge or a
 Dijkstra search.
 
 One routine, `_case3`, gives every shortest path that touches a closed
-vertex, for the live answers and the finalized metric alike, without
+vertex, for the live answers and the lazy final metric alike, without
 materializing the open clique. It tries in order the direct edge, the best
 two-edge path, the best path through one virtual edge anchored at open unit
 neighbors, and below an enumeration threshold those are provably
@@ -34,7 +34,8 @@ disjointness test against a closed endpoint's frozen set, newest unit
 neighbor first), else the gate route 2L while that costs at most one unit
 edge plus the lightest other edge; only past that, and after the virtual
 candidate misses 2, are common neighbors enumerated, by intersecting the
-two vertex maps. The consistency audit reads each map and the log once.
+two vertex maps. The dense final matrix counts hops, capped at 2L, with no
+search; the consistency audit reads each map and the log once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .generators import metric_closure
 from .metric import (
     ABS_TOL,
     DistanceOracle,
@@ -359,21 +359,19 @@ class AdversarySession:
 
 
 def _padded(ids, n: int, k: int) -> list[int]:
-    """`ids` as distinct ints (a repeat is dropped), checked against [0, n)
-    and k, then padded to k with the smallest unused ids."""
-    S = list(dict.fromkeys(int(c) for c in ids))
+    """`ids` as distinct ints (a repeat is dropped), checked to be integers in
+    [0, n) and at most k, then padded to k with the smallest unused ids."""
+    S = list(dict.fromkeys(check_k(c, n - 1, "center", lo=0) for c in ids))
     if len(S) > k:
         raise MetricInputError("solution exceeds k centers")
-    if not all(0 <= c < n for c in S):
-        raise MetricInputError(f"centers must be point ids in [0, {n}), got {S}")
     used = set(S)
     S += [v for v in range(n) if v not in used][: k - len(S)]
     return S
 
 
 class FinalMetric:
-    """Exact shortest-path metric over the finalized graph, evaluated lazily
-    by the routine the live adversary answers Case 3 with."""
+    """Exact shortest-path metric over the finalized graph: `distance` runs the
+    routine the live adversary answers Case 3 with, `matrix` counts hops."""
 
     def __init__(self, session: AdversarySession):
         if not session.finalized:
@@ -391,26 +389,32 @@ class FinalMetric:
 
     def matrix(self) -> np.ndarray:
         """The metric as an n x n array, for n <= 2048, bit for bit `distance`.
-        With at most a quarter of the points closed: 0 on the diagonal, 1
-        between open points and each closed point's `distance` row as its row
-        and column. Past that, `distance` intersects vertex maps grown with
-        the closed points, and the O(n^3) closure of the graph is faster."""
+        Each Case-3 answer is the length of a path the graph held then, and
+        edges are never removed, so no edge heavier than 1 shortens a path:
+        two points sit at min(h, 2L), h their hops over unit edges and the
+        open clique. A closed row takes one float32 product per hop below 2L,
+        whose counts (at most n) are exact and read only as > 0."""
         if self.n > 2048:
             raise MetricInputError("dense finalized metric capped at n = 2048")
         s = self.session
         n = self.n
-        closed = [x for x in range(n) if not s.status[x]]
-        if 4 * len(closed) > n:
-            D = np.full((n + 1, n + 1), np.inf)
-            for u, v, w in s.edges():
-                D[u, v] = D[v, u] = w
-            opens = np.array([v for v in range(n) if s.status[v]], dtype=np.int64)
-            clique = np.ix_(opens, opens)
-            D[clique] = np.minimum(D[clique], 1.0)
-            return metric_closure(D)[:n, :n]
+        opens = np.frombuffer(s.status, np.uint8, n).astype(bool)
+        closed = np.flatnonzero(~opens)
+        units = np.zeros((n, n), np.float32)
+        for v in range(n):
+            units[v, s._unit_nbrs[v]] = 1.0
+        two_l = s.L + s.L
+        reach = closed[:, None] == np.arange(n)
+        rows = np.where(reach, 0.0, two_l)
+        for hop in range(1, math.ceil(two_l)):
+            nxt = reach | (reach.astype(np.float32) @ units > 0)
+            # an open point reached makes every open point one hop further
+            nxt[(reach & opens).any(axis=1)] |= opens
+            rows[nxt & ~reach] = hop
+            reach = nxt
         D = 1.0 - np.eye(n)
-        for x in closed:
-            D[x] = D[:, x] = [self.distance(x, y) for y in range(n)]
+        D[closed] = rows
+        D[:, closed] = rows.T
         return D
 
 
@@ -438,7 +442,6 @@ class AdversaryAudit:
     witness_bound: float
     ratio: float
     ratio_bound: float
-    consistency_pairs: int
     neighbor_profile: dict[int, list[int]]
     violations: list[str] = field(default_factory=list)
 
@@ -530,7 +533,6 @@ def audit_session(session: AdversarySession, metric: FinalMetric) -> AdversaryAu
         solution_cost=solution_cost, solution_bound=solution_bound,
         witness=tuple(witness), witness_cost=witness_cost,
         witness_bound=witness_bound, ratio=ratio, ratio_bound=ratio_bound,
-        consistency_pairs=len(session._qa),
         neighbor_profile={},
     )
     audit.violations.extend(_consistency_violations(session, metric))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import harness
 from .adversary import QueryBudgetExceededError, run_against
@@ -107,7 +108,7 @@ def cmd_cluster(args) -> int:
         with open(args.emit_cert, "w") as fh:
             fh.write(cert.dumps())
     if args.emit_json:
-        payload = record.to_json_dict()
+        payload = asdict(record)
         if audit_payload is not None:
             payload["audit"] = audit_payload
         with open(args.emit_json, "w") as fh:

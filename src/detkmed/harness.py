@@ -4,10 +4,9 @@ CLI and the test suite."""
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .adversary import AdversarySession, audit_session
 from .baselines import local_search_kmedian
@@ -41,13 +40,6 @@ class RunRecord:
     ratio: float | None
     queries: int
     wall_millis: float
-
-    def to_row(self) -> list:
-        return [getattr(self, c) if getattr(self, c) is not None else ""
-                for c in CSV_COLUMNS]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _reverse_greedy(space, k, obj, delta):
@@ -150,8 +142,8 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(CSV_COLUMNS)
-        for rec in records:
-            out.writerow(rec.to_row())
+        for rec in records:  # csv writes None as ""
+            out.writerow([getattr(rec, c) for c in CSV_COLUMNS])
 
 
 def adversary_algorithm(name: str):
@@ -161,41 +153,46 @@ def adversary_algorithm(name: str):
     return lambda space, k, objective: run(space, k, objective, GUHA_DELTA)[0]
 
 
+def _transcript_rows(session: AdversarySession) -> list[list]:
+    """The session's (x, y, answer) log as the report's JSON rows."""
+    return [[x, y, a] for x, y, a in zip(*(col.tolist() for col in session.transcript()))]
+
+
 def adversary_report_dict(result) -> dict:
     """The audit's fields (neighbor_profile keyed by str, as JSON writes it)
     plus the verdict, both center lists and the whole transcript."""
     audit, session = result.audit, result.session
     report = asdict(audit)
-    del report["consistency_pairs"]
     report["log_M_n"] = report.pop("log_m_n")
-    qx, qy, qa = session.transcript()
     return {**report,
             "neighbor_profile": {str(z): p for z, p in audit.neighbor_profile.items()},
             "passed": audit.passed,
             "solution": list(result.solution.centers),
             "final_centers": session.final_centers,
-            "queries": [[int(a), int(b), float(c)] for a, b, c in zip(qx, qy, qa)]}
+            "queries": _transcript_rows(session)}
 
 
 def replay_adversary(report: dict) -> tuple[bool, list[str]]:
-    """Re-drive a logged session and confirm every answer and the final
-    consistency audit reproduce exactly."""
+    """Re-drive a logged session and confirm the whole transcript, the final
+    centers and the consistency audit reproduce exactly. A logged id that is
+    not an integer raises MetricInputError before the first answer."""
     session = AdversarySession(report["n"], report["k"], report["delta"],
                                Objective(report["objective"]))
     problems: list[str] = []
     queries = report["queries"]
-    n_algo = report["algo_queries"]
-    for i, (x, y, ans) in enumerate(queries[:n_algo]):
-        got = session.answer_query(int(x), int(y))
-        if got != ans:
-            problems.append(f"query {i} ({x},{y}): replay answered {got!r}, log says {ans!r}")
-            if len(problems) > 10:
-                return False, problems
+    for x, y, _ in queries:
+        check_k(x, name="query id", lo=-math.inf)
+        check_k(y, name="query id", lo=-math.inf)
+    for x, y, _ in queries[:report["algo_queries"]]:
+        session.answer_query(x, y)
     metric = session.finalize(report["solution"])
     audit = audit_session(session, metric)
-    qx, qy, qa = session.transcript()
-    logged = np.asarray([row[2] for row in queries])
-    if len(qa) != len(logged) or not np.array_equal(np.asarray(qa), logged):
-        problems.append("replayed transcript differs from the logged one")
+    rows = _transcript_rows(session)
+    if rows != queries:
+        i = next((i for i, (got, logged) in enumerate(zip(rows, queries)) if got != logged),
+                 min(len(rows), len(queries)))
+        problems.append(f"replayed transcript differs from the logged one at entry {i}")
+    if session.final_centers != report["final_centers"]:
+        problems.append("replayed final centers differ from the logged ones")
     problems.extend(audit.violations)
     return not problems, problems

@@ -82,12 +82,12 @@ def check_cost_bound(space: "WeightedMetricSpace", objective: "Objective | str")
                                       np.array([space.oracle.diameter_bound()]))
 
 
-def check_k(k, hi: float = math.inf, name: str = "k") -> int:
-    """k as an int after checking it is an integer (bool is not) in [1, hi]."""
+def check_k(k, hi: float = math.inf, name: str = "k", lo: float = 1) -> int:
+    """k as an int after checking it is an integer (bool is not) in [lo, hi]."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise MetricInputError(f"{name} must be an integer, got {k!r}")
-    if not 1 <= k <= hi:
-        raise MetricInputError(f"{name} must lie in [1, {hi}], got {k}")
+    if not lo <= k <= hi:
+        raise MetricInputError(f"{name} must lie in [{lo}, {hi}], got {k}")
     return int(k)
 
 

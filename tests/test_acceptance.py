@@ -7,6 +7,7 @@ calibration provenance next to their definition.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -317,7 +318,7 @@ def test_c10_determinism():
         for _ in range(2):
             space = uniform_points(40, seed=sp_seed)
             sol, rec, _ = run_algorithm(algo, space, 3, delta=2.0)
-            payload = rec.to_json_dict()
+            payload = asdict(rec)
             payload.pop("wall_millis")
             runs.append((sol.centers, sol.assignment.tobytes(),
                          repr(sol.cost), payload))

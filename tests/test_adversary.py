@@ -250,18 +250,32 @@ def test_lazy_distance_agrees_with_dense():
         assert metric.distance(i, j) == pytest.approx(expected, rel=1e-12)
 
 
-def test_matrix_is_the_closure_bit_for_bit_past_2L_3():
-    # k = 1: L ~ 1.505, so 2L > 3 and the capped Dijkstra is in play; 32 of
-    # 1024 points close, so matrix() reads `distance`
-    sess = run_against(adversary_algorithm("hierarchical"), 1024, 1, 1.0).session
-    assert 0 < 4 * sess.closed_points() <= sess.n
+def band_session(n, w):
+    """Each point asked against the next w points, cyclically."""
+    sess = AdversarySession(n, 1, 1.0)
+    for x in range(n):
+        for d in range(1, w + 1):
+            sess.answer_query(x, (x + d) % n)
+    sess.finalize([0])
+    return sess
+
+
+@pytest.mark.parametrize("drive, closed", [
+    (lambda: run_against(adversary_algorithm("hierarchical"), 1024, 1, 1.0).session, 32),
+    (lambda: band_session(1024, 70), 1024),
+], ids=["hierarchical", "band"])
+def test_matrix_is_the_closure_bit_for_bit_past_2L_3(drive, closed):
+    # k = 1 at n = 1024: L ~ 1.505, so 2L > 3 and matrix() counts three hops;
+    # the hierarchical run closes few points, the band drive every point
+    sess = drive()
+    assert sess.closed_points() == closed
     D = FinalMetric(sess).matrix()
     assert np.array_equal(D.view(np.uint64), hat_closure(sess).view(np.uint64))
 
 
 def test_matrix_of_a_mostly_closed_session_is_distance_bit_for_bit():
-    # the first half of the points asked against every other: they close
-    # and the rest stay open, so matrix() takes the closure with an open clique
+    # the first half of the points asked against every other: they close and
+    # the rest stay open, so matrix()'s hops pass through the open clique
     n = 64
     sess = AdversarySession(n, 1, 1.0)
     for x in range(n // 2):
@@ -455,7 +469,7 @@ def test_finalize_pads_with_smallest_unused():
 def test_finalize_checks_centers_before_answering():
     sess = AdversarySession(64, 2, 1.0)
     sess.answer_query(1, 2)
-    with pytest.raises(dk.MetricInputError, match="point ids"):
+    with pytest.raises(dk.MetricInputError, match=r"center must lie in \[0, 63\], got 64"):
         sess.finalize([3, 64])
     assert not sess.finalized and sess.artificial_queries == 0
     assert len(sess.transcript()[0]) == 1
@@ -592,7 +606,7 @@ def test_audit_session_counts_and_gate():
     assert audit.edges_total <= 2 * (audit.algo_queries + audit.artificial_queries) + n
     assert all(w == sess.L for _, v, w in sess.edges() if v == sess.gate)
     assert not sess.status[sess.gate]
-    assert audit.consistency_pairs == audit.algo_queries + audit.artificial_queries
+    assert len(sess.transcript()[0]) == audit.algo_queries + audit.artificial_queries
 
 
 @pytest.mark.parametrize("algo,n,k,delta,queries", [

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -251,7 +252,7 @@ def test_verify_pipeline(tmp_path, matrix_file):
     assert main(["verify", "pipeline", "--input", str(matrix_file), "--k", "2"]) == 0
 
 
-def test_adversary_cli_with_report_and_replay(tmp_path):
+def test_adversary_cli_with_report_and_replay(tmp_path, capsys):
     report = tmp_path / "report.json"
     metric = tmp_path / "metric.csv"
     rc = main(["adversary", "--algo", "hierarchical", "--n", "96", "--k", "1",
@@ -259,10 +260,29 @@ def test_adversary_cli_with_report_and_replay(tmp_path):
                "--emit-metric", str(metric)])
     assert rc == 0
     assert main(["verify", "replay", "--report", str(report)]) == 0
-    payload = json.loads(report.read_text())
-    payload["queries"][3][2] = 9.9
-    report.write_text(json.dumps(payload))
-    assert main(["verify", "replay", "--report", str(report)]) == 1
+    logged = json.loads(report.read_text())
+    x, y, ans = logged["queries"][3]
+    i = logged["algo_queries"] + 5  # an artificial query
+
+    def replay(key, value, row=None):
+        payload = copy.deepcopy(logged)
+        if row is None:
+            payload[key] = value
+        else:
+            payload[key][row] = value
+        report.write_text(json.dumps(payload))
+        return main(["verify", "replay", "--report", str(report)])
+
+    # a changed answer, artificial pair or final center is inconsistent
+    assert replay("queries", [x, y, 9.9], row=3) == 1
+    assert replay("queries", [999, -7, logged["queries"][i][2]], row=i) == 1
+    assert replay("final_centers", [logged["final_centers"][0] + 1]) == 1
+    capsys.readouterr()
+    # ids that are not integers are malformed, not converted
+    for args in [("solution", [31.5]), ("solution", ["31"]), ("solution", [True]),
+                 ("queries", [31.5, y, ans], 3), ("queries", ["5", y, ans], i)]:
+        assert replay(*args) == 2
+        assert "must be an integer" in capsys.readouterr().err
     # emitted metric is a valid shortest-path metric
     assert main(["verify", "metric", "--input", str(metric)]) == 0
 
