@@ -55,7 +55,6 @@ from .metric import (
     Objective,
     Solution,
     WeightedMetricSpace,
-    as_objective,
     check_k,
     close,
     leq,
@@ -73,7 +72,7 @@ class AdversarySession:
     def __init__(self, n: int, k: int, delta: float,
                  objective: Objective | str = Objective.MEDIAN,
                  budget: int | None = None):
-        obj = as_objective(objective)
+        obj = Objective(objective)
         if obj is Objective.NORMALIZED_MEANS:
             raise MetricInputError("adversary supports median and means objectives")
         if n < 2:
@@ -167,7 +166,8 @@ class AdversarySession:
 
         Settling the first open vertex relaxes every open vertex once; any
         later open settle is dominated, and a shortest path never needs two
-        virtual hops. Returns (dist, virtual edge used or None); dist >= cap
+        virtual hops. Only the source (at 0 < cap) and distances below cap
+        are pushed. Returns (dist, virtual edge used or None); (inf, None)
         means nothing beats the caller's candidate.
         """
         dist = {src: 0.0}
@@ -179,8 +179,6 @@ class AdversarySession:
             d, u = heapq.heappop(heap)
             if u in done:
                 continue
-            if d >= cap:
-                return math.inf, None
             done.add(u)
             if u == dst:
                 virt = None
@@ -628,7 +626,7 @@ def run_against(algorithm, n: int, k: int, delta: float,
                 enforce_budget: bool = False) -> AdversaryRunResult:
     """Wire `algorithm(space, k, objective) -> Solution` to a fresh adversary,
     capture its output, finalize, and audit. Deterministic end to end."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     budget = int(n * k * delta) if enforce_budget else None
     session = AdversarySession(n, k, delta, obj, budget=budget)
     oracle = AdversaryOracle(session)

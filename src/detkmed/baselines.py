@@ -16,7 +16,6 @@ from .metric import (
     WeightedMetricSpace,
     _index_array,
     _universe,
-    as_objective,
     build_solution,
     check_k,
     leq,
@@ -49,7 +48,7 @@ def local_search_kmedian(space: WeightedMetricSpace, k: int,
     centers once, U x non-centers once per iteration, and U x centers for the
     final solution.
     """
-    obj = as_objective(objective)
+    obj = Objective(objective)
     U = np.unique(_universe(space, universe, obj))
     k = check_k(k, U.size)
     w = space.weights[U]
@@ -154,7 +153,7 @@ def audit_sparsifier(space: WeightedMetricSpace, sigma: np.ndarray, pi: dict | n
     inner solution pi, then assert the composed-cost bound
     composition_factor(alpha, beta) * OPT_k, brute-forced unless given as
     `opt_full`. Brute-force sized instances only."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     sigma = _index_array(sigma, space.n, "sigma")
     targets = np.unique(sigma)
     w_sparse = np.zeros(space.n)

@@ -174,7 +174,8 @@ def cmd_verify(args) -> int:
         with open(args.cert) as fh:
             try:
                 cert = BoundCertificate.loads(fh.read())
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
+                # json.JSONDecodeError is a ValueError, as is an unknown objective
                 raise MetricInputError(f"malformed certificate: {exc}") from None
         space = load_space(args.input, args.format)
         opt, _ = opt_bruteforce(space, args.k, objective=cert.objective)

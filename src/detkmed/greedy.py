@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ from .metric import (
     WeightedMetricSpace,
     _index_array,
     _universe,
-    as_objective,
     check_k,
     leq,
 )
@@ -81,8 +81,8 @@ class BoundCertificate:
     universe_size: int
     objective: Objective
     steps: list[RemovalStep]
-    initial_cost: float | None
-    final_cost: float | None
+    initial_cost: float
+    final_cost: float
     k: int | None = None
     eps: float | None = None
 
@@ -102,10 +102,26 @@ class BoundCertificate:
 
     @classmethod
     def loads(cls, text: str) -> "BoundCertificate":
+        """Parse `dumps` output. Ids and sizes must be integers, costs numbers
+        whose float is finite, k null or a valid k, eps null or finite and > 0."""
         d = json.loads(text)
+        steps = [RemovalStep(*row) for row in d["steps"]]
+        objective = Objective(d["objective"])
+        for v in [*d["candidates"], d["k_prime"], d["universe_size"],
+                  *(x for s in steps for x in (s.removed, s.size_before))]:
+            check_k(v, name="a certificate id or size", lo=0)
+        for v in [d["initial_cost"], d["final_cost"],
+                  *(x for s in steps for x in (s.cost_before, s.cost_after))]:
+            if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+                raise MetricInputError(f"a certificate cost must be a finite number, got {v!r}")
+        if d.get("k") is not None:
+            check_k(d["k"])
+        eps = d.get("eps")
+        if eps is not None and (type(eps) not in (int, float)
+                                or not 0 < eps <= sys.float_info.max):
+            raise MetricInputError(f"eps must be a finite positive number, got {eps!r}")
         return cls(**{**d, "candidates": tuple(d["candidates"]),
-                      "objective": Objective(d["objective"]),
-                      "steps": [RemovalStep(*row) for row in d["steps"]]})
+                      "objective": objective, "steps": steps})
 
 
 class GreedyState:
@@ -120,7 +136,7 @@ class GreedyState:
 
     def __init__(self, space: WeightedMetricSpace, candidates, universe=None,
                  objective: Objective | str = Objective.MEDIAN, distances=None):
-        self.objective = _greedy_objective(as_objective(objective))
+        self.objective = _greedy_objective(Objective(objective))
         U = _universe(space, universe, self.objective)
         cand = _index_array(candidates, space.n, "candidates")
         if distances is None:
@@ -290,7 +306,7 @@ def naive_reverse_greedy(space: WeightedMetricSpace, candidates, k_prime: int,
                          universe=None):
     """Quadratic reference: recomputes cost(S - y) from the distance matrix for
     every alive y at every step. Shares only the tie rule with the fast path."""
-    obj = _greedy_objective(as_objective(objective))
+    obj = _greedy_objective(Objective(objective))
     k_prime = check_k(k_prime, name="k_prime")
     U = _universe(space, universe, obj)
     cand = np.unique(_index_array(candidates, space.n, "candidates"))
@@ -378,7 +394,7 @@ def audit_certificate(cert: BoundCertificate, opt_ref: float,
             if not leq(s.cost_after, rhs):
                 report.violations.append(
                     f"means step at size {i}: cost {s.cost_after!r} exceeds {rhs!r}")
-    if obj is Objective.MEDIAN and cert.k_prime >= k and cert.initial_cost is not None:
+    if obj is Objective.MEDIAN and cert.k_prime >= k:
         report.aggregate_bound = cert.initial_cost + agg
         if not leq(cert.final_cost, report.aggregate_bound):
             report.violations.append(

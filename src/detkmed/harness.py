@@ -19,7 +19,6 @@ from .metric import (
     Objective,
     Solution,
     WeightedMetricSpace,
-    as_objective,
     check_k,
     opt_bruteforce,
 )
@@ -74,7 +73,7 @@ def run_algorithm(name: str, space: WeightedMetricSpace, k: int,
     GUHA_DELTA unless delta is given. Every algorithm rejects an input whose
     cost bound overflows float64 before its first query."""
     run = _algorithm(name)
-    obj = as_objective(objective)
+    obj = Objective(objective)
     delta = GUHA_DELTA if delta is None else delta
     q0 = space.oracle.query_count
     t0 = time.perf_counter()

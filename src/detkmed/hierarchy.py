@@ -43,7 +43,6 @@ from .metric import (
     Solution,
     WeightedMetricSpace,
     _index_array,
-    as_objective,
     assign_nearest,
     build_solution,
     check_cost_bound,
@@ -211,7 +210,7 @@ def phase2(space: WeightedMetricSpace, hierarchy: PartitionHierarchy, k: int,
     one-point leaf asks nothing, its block is d(x, x) = 0); a node X = a ++ b,
     R = c(a) ++ c(b) asks a x c(b), then (b minus c(b)) x c(a), and its
     c(b) x c(a) rows are a x c(b)'s c(a) rows transposed (d is symmetric)."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     hierarchy.centers = [[[] for _ in range(b.size - 1)] for b in hierarchy.bounds]
     hierarchy.certificates = [[None] * (b.size - 1) for b in hierarchy.bounds]
     below, row = {}, None
@@ -255,7 +254,7 @@ def extract_k(sparsified: SparsifiedSpace, k: int,
     S back to a solution over the full space. `distances`, the V x V_0 block
     with V_0 ascending, holds V x S as its S columns and spares the final
     sweep's n * |S| queries."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     points = sparsified.points
     if points.size <= k:
         centers = points.tolist()
@@ -280,7 +279,7 @@ def hierarchical_cluster(space: WeightedMetricSpace, k: int,
     """Full Phase I-III pipeline. Deterministic: identical inputs give
     byte-identical outputs. The metrics carry the query count, the filled
     hierarchy and the sparsifier."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     check_cost_bound(space, obj)
     q0 = space.oracle.query_count
     hierarchy = build_partitions(space, k)
@@ -347,7 +346,7 @@ def guha_hierarchical(space: WeightedMetricSpace, k: int, delta: float,
     each part on its surviving weighted points with local search, compose the
     mappings. Means inputs are solved under the normalized-means objective and
     reported under the requested one."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
     q0 = space.oracle.query_count
     hier = build_guha_partitions(space.n, k, delta)
@@ -428,7 +427,7 @@ def audit_pipeline(space: WeightedMetricSpace, k: int,
     `audit_sparsifier` on the extraction, whose measured alpha composes with
     the chain's certified beta. Requires brute-forceable sizes.
     """
-    obj = as_objective(objective)
+    obj = Objective(objective)
     solution, metrics = hierarchical_cluster(space, k, obj)
     hierarchy, sparsified = metrics.hierarchy, metrics.sparsified
     opt, _ = opt_bruteforce(space, k, objective=obj)
@@ -510,7 +509,7 @@ def audit_guha_recursion(space: WeightedMetricSpace, k: int, delta: float,
     levels (the identity at the deepest) and pi the level's own mapping, so
     the measured beta is the previous composition's ratio. Returns one
     audit per level. Brute-force sized instances only."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     solver_obj = Objective.MEDIAN if obj is Objective.MEDIAN else Objective.NORMALIZED_MEANS
     _, metrics = guha_hierarchical(space, k, delta, obj)
     opt_full, _ = opt_bruteforce(space, k, objective=solver_obj)

@@ -69,17 +69,13 @@ class Objective(str, Enum):
         return float(value) if scalar else value
 
 
-def as_objective(obj: "Objective | str") -> Objective:
-    return obj if isinstance(obj, Objective) else Objective(obj)
-
-
 def check_cost_bound(space: "WeightedMetricSpace", objective: "Objective | str") -> None:
     """No cost exceeds sum(w) times the oracle's diameter bound under the
     objective, so an input whose bound overflows float64 raises
     MetricInputError here, before the first query."""
     with np.errstate(over="ignore", invalid="ignore"):
-        as_objective(objective).total(space.weights.sum(keepdims=True),
-                                      np.array([space.oracle.diameter_bound()]))
+        Objective(objective).total(space.weights.sum(keepdims=True),
+                                   np.array([space.oracle.diameter_bound()]))
 
 
 def check_k(k, hi: float = math.inf, name: str = "k", lo: float = 1) -> int:
@@ -120,16 +116,9 @@ class DistanceOracle:
             self._count += amount
 
     def distance(self, i: int, j: int) -> float:
-        """One pair of integer ids (numpy integers too), counted once answered,
-        from the same kernel as pairwise."""
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
-                and 0 <= i < self._n and 0 <= j < self._n):
-            raise MetricInputError(
-                f"point ids ({i}, {j}) not integers or outside [0, {self._n})")
-        ids = np.array((i, j), dtype=np.int64)
-        d = float(self._pairwise(ids[:1], ids[1:])[0, 0])
-        self._bump(1)
-        return d
+        """The 1 x 1 `pairwise` block of ids i and j: the same id rule, kernel
+        and count."""
+        return float(self.pairwise([i], [j])[0, 0])
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances for every (row, col) pair of two 1-D integer id arrays;
@@ -373,8 +362,6 @@ def _sweep(space: WeightedMetricSpace, centers, universe, distances=None, object
     caller already holds it as `distances`. Returns the universe, the column
     of each point's nearest center (ties to the first column) and its
     distance."""
-    if centers is None or len(centers) == 0:
-        raise MetricInputError("empty solution")
     S = _index_array(centers, space.n, "centers")
     U = _universe(space, universe, objective)
     D = space.pairwise(U, S) if distances is None else distances
@@ -389,7 +376,7 @@ def cost(space: WeightedMetricSpace, centers, universe=None,
     Queries the oracle exactly |S| * |U| times.
     """
     U, _, dmin = _sweep(space, centers, universe, objective=objective)
-    return as_objective(objective).total(space.weights[U], dmin)
+    return Objective(objective).total(space.weights[U], dmin)
 
 
 def assign_nearest(space: WeightedMetricSpace, centers, universe=None,
@@ -407,7 +394,7 @@ def build_solution(space: WeightedMetricSpace, centers, objective: Objective | s
     """Assemble a Solution (assignment + cached cost) with one |S|*|U| sweep,
     which asks nothing when `distances` already holds that block with the
     centers ascending."""
-    obj = as_objective(objective)
+    obj = Objective(objective)
     ids = _index_array(centers, space.n, "centers")
     given = tuple(ids.tolist())
     S = np.unique(ids)
@@ -420,7 +407,7 @@ def mapping_cost(space: WeightedMetricSpace, assign, members, weights,
     """Cost of mapping each member x to assign[x] under the given weights.
     One distance request per member, in member order."""
     d = np.array([space.distance(int(x), int(assign[x])) for x in members])
-    return as_objective(objective).total(weights[members], d)
+    return Objective(objective).total(weights[members], d)
 
 
 def project(space: WeightedMetricSpace, A, B) -> tuple[int, ...]:
@@ -436,7 +423,7 @@ def opt_bruteforce(space: WeightedMetricSpace, k: int, universe=None, candidates
 
     Returns the optimum cost and the lexicographically smallest achieving set.
     """
-    obj = as_objective(objective)
+    obj = Objective(objective)
     U = _universe(space, universe, obj)
     X = np.unique(U if candidates is None else _index_array(candidates, space.n, "candidates"))
     k = check_k(k, X.size)

@@ -260,13 +260,22 @@ def band_session(n, w):
     return sess
 
 
+def open_session(n):
+    """A means session finalized with no query asked: at k = 1, M > n."""
+    sess = AdversarySession(n, 1, 1.0, Objective.MEANS)
+    sess.finalize([0])
+    return sess
+
+
 @pytest.mark.parametrize("drive, closed", [
     (lambda: run_against(adversary_algorithm("hierarchical"), 1024, 1, 1.0).session, 32),
     (lambda: band_session(1024, 70), 1024),
-], ids=["hierarchical", "band"])
+    (lambda: open_session(256), 0),
+], ids=["hierarchical", "band", "all-open"])
 def test_matrix_is_the_closure_bit_for_bit_past_2L_3(drive, closed):
     # k = 1 at n = 1024: L ~ 1.505, so 2L > 3 and matrix() counts three hops;
-    # the hierarchical run closes few points, the band drive every point
+    # the hierarchical run closes few points, the band drive every point and
+    # the all-open session none
     sess = drive()
     assert sess.closed_points() == closed
     D = FinalMetric(sess).matrix()
@@ -587,6 +596,49 @@ def test_audit_requires_finalized_session():
     with pytest.raises(RuntimeError, match="finalized"):
         sess.answer_query(2, 3)
     assert audit_session(sess, metric).passed
+
+
+def _zero_center_rows(sess):
+    sess._center_rows[0][:] = 0.0
+    return FinalMetric(sess)
+
+
+def _far_witness(sess):
+    # the witness lemma holds on every finalized graph, so the metric is edited
+    metric = FinalMetric(sess)
+    metric.distance = lambda x, y: 0.0 if x == y else 4.0
+    return metric
+
+
+def _extra_unit_edges(sess):
+    # 741 unit edges among open points: consistent, but past both edge bounds
+    for u in range(1, 40):
+        for v in range(u + 1, 40):
+            sess._adj[u][v] = sess._adj[v][u] = 1.0
+    return FinalMetric(sess)
+
+
+def _every_point_at_one(sess):
+    sess._center_rows[0][:] = 1.0
+    return FinalMetric(sess)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_zero_center_rows, "solution cost 0.0 below lower bound 32.0"),
+    (_zero_center_rows, "implied ratio 0.0 below 0.16666666666666666"),
+    (_far_witness, "witness cost 252.0 exceeds 192.0"),
+    (_extra_unit_edges, "edge count exceeds 2 per answer plus the gate star"),
+    (_extra_unit_edges, "edge count 872 exceeds 320.0"),
+    (_every_point_at_one, "center 0: 64 points at distance 1 exceed 60.0"),
+], ids=["solution-cost", "ratio", "witness", "edges-per-answer", "paper-edges",
+        "neighbor-profile"])
+def test_audit_session_bounds_catch_mutants(mutate, message):
+    # M = 60 <= n = 64, so r = 1 and every bound is checked, within budget
+    sess = AdversarySession(64, 1, 1.0)
+    sess.finalize([0])
+    assert audit_session(sess, FinalMetric(sess)).passed
+    violations = audit_session(sess, mutate(sess)).violations
+    assert message in violations, violations
 
 
 def test_trivial_regime_reported():

@@ -206,6 +206,13 @@ def test_audit_sparsifier_pins_the_lemma_arithmetic():
     rep = dk.audit_sparsifier(sp, sigma, {0: 0, 2: 2}, 3)
     assert (rep.opt_full, rep.opt_sparse, rep.alpha, rep.beta) == (1.0, 0.0, 0.0, 2.0)
     assert rep.passed, rep.violations
+    # on a metric the median bound holds for every sigma and pi, so the composed
+    # bound fires only once the triangle inequality breaks: d(0, 3) = 100 > 10 + 1
+    D = np.abs(np.subtract.outer([0.0, 1, 10, 11], [0.0, 1, 10, 11]))
+    D[0, 3] = D[3, 0] = 100.0
+    rep = dk.audit_sparsifier(dk.WeightedMetricSpace.from_matrix(D), sigma, pi, 1)
+    assert (rep.opt_full, rep.alpha, rep.beta) == (20.0, 1.0, 0.1)
+    assert rep.violations == [f"composed cost 111.0 exceeds sparsifier bound {rep.bound!r}"]
 
 
 def test_audit_sparsifier_end_to_end(tiny_spaces):

@@ -171,6 +171,49 @@ def test_certificate_roundtrip_and_corruption(tmp_path, matrix_file):
                  "--input", str(matrix_file), "--k", "2"]) == 2
 
 
+def _set_step_cost(payload, value):
+    payload["steps"][0][2] = value
+
+
+@pytest.mark.parametrize("edit,rc,line", [
+    # a forged final cost with a real initial cost fails the aggregate bound
+    (lambda p: p.update(final_cost=1e6), 1,
+     "violation: aggregate: final cost 1000000.0 exceeds telescoped bound"),
+    # with a null initial cost the aggregate would go unchecked
+    (lambda p: p.update(final_cost=1e6, initial_cost=None), 2,
+     "error: malformed certificate: a certificate cost must be a finite number, got None"),
+    (lambda p: _set_step_cost(p, None), 2,
+     "error: malformed certificate: a certificate cost must be a finite number, got None"),
+    (lambda p: p.update(final_cost="1e6"), 2,
+     "error: malformed certificate: a certificate cost must be a finite number, got '1e6'"),
+    # a JSON integer too long for a float
+    (lambda p: p.update(final_cost=10 ** 400), 2,
+     "error: malformed certificate: a certificate cost must be a finite number, got 1000"),
+    (lambda p: p.update(objective="nonsense"), 2,
+     "error: malformed certificate: 'nonsense' is not a valid Objective"),
+    (lambda p: p.update(eps=0), 2,
+     "error: malformed certificate: eps must be a finite positive number, got 0"),
+    (lambda p: p.update(eps="0.5"), 2,
+     "error: malformed certificate: eps must be a finite positive number, got '0.5'"),
+    (lambda p: p.update(k=0), 2, "error: malformed certificate: k must lie in [1, inf], got 0"),
+], ids=["forged-final-cost", "null-initial-cost", "null-step-cost", "string-cost",
+        "long-int-cost", "unknown-objective", "zero-eps", "string-eps", "zero-k"])
+def test_certificate_fields_are_checked_when_read(tmp_path, capsys, matrix_file,
+                                                  edit, rc, line):
+    cert_path = tmp_path / "cert.json"
+    assert main(["cluster", "--algo", "reverse-greedy", "--k", "2", "--input",
+                 str(matrix_file), "--emit-cert", str(cert_path),
+                 "--output", str(tmp_path / "c.txt")]) == 0
+    payload = json.loads(cert_path.read_text())
+    edit(payload)
+    cert_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "certificate", "--cert", str(cert_path),
+                 "--input", str(matrix_file), "--k", "2"]) == rc
+    out = capsys.readouterr()
+    assert any(l.startswith(line) for l in (out.out + out.err).splitlines()), out
+
+
 def test_means_certificate_roundtrip(tmp_path, matrix_file):
     # the certificate carries the eps it was audited with
     cert_path = tmp_path / "cert.json"

@@ -210,6 +210,31 @@ def test_audit_catches_corruption():
     assert not report.passed
 
 
+def _means_step_message(cert, opt):
+    # the first step removes at size 5 >= 2k + 1, so its divisor is k = 2
+    s, eps = cert.steps[0], cert.eps
+    rhs = (1.0 + 3.0 * eps / 2) * s.cost_before + (4.0 + 2.0 / eps) / 2 * opt
+    return f"means step at size 5: cost 1000000.0 exceeds {rhs!r}"
+
+
+@pytest.mark.parametrize("objective,edit,message", [
+    ("median", lambda c: setattr(c.steps[0], "cost_after", c.steps[0].cost_before - 1.0),
+     lambda c, opt: f"cost decreased when removing {c.steps[0].removed} at size 5"),
+    ("means", lambda c: setattr(c.steps[0], "cost_after", 1e6), _means_step_message),
+    # steps remove at sizes 5, 4, 3 > k, each bounded by 2/(i-k) * OPT
+    ("median", lambda c: setattr(c, "final_cost", 1e6),
+     lambda c, opt: "aggregate: final cost 1000000.0 exceeds telescoped bound "
+                    f"{c.initial_cost + (2.0 / 3 * opt + 2.0 / 2 * opt + 2.0 / 1 * opt)!r}"),
+], ids=["cost-decrease", "means-step", "aggregate"])
+def test_audit_certificate_checks_catch_mutants(objective, edit, message):
+    sp = line_space([0, 1, 2, 3, 11])
+    opt, _ = dk.opt_bruteforce(sp, 2, objective=objective)
+    _, cert = dk.res_greedy(sp, sp.all_points(), 2, objective=objective, k=2)
+    assert dk.audit_certificate(cert, opt).passed
+    edit(cert)
+    assert dk.audit_certificate(cert, opt).violations == [message(cert, opt)]
+
+
 def test_removal_sum_bounded_by_nested_cost_gap(tiny_spaces):
     # removing all of B \ A one at a time from B never beats switching to A
     rng = np.random.default_rng(0)

@@ -30,7 +30,7 @@ def test_cost_zero_when_centers_cover_universe():
 
 def test_cost_rejects_empty_solution():
     sp = line_space([0, 1])
-    with pytest.raises(dk.MetricInputError, match="empty solution"):
+    with pytest.raises(dk.MetricInputError, match="centers must be nonempty"):
         dk.cost(sp, [])
 
 
@@ -64,9 +64,15 @@ def test_distance_rejects_ids_out_of_range_before_counting():
                   np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)),
               dk.WeightedMetricSpace(AdversaryOracle(AdversarySession(n, 1, 1.0)),
                                      np.ones(n))]
-    for sp in spaces:
-        for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-n - 1, 2), (1.5, 0), (0, 2.0)):
-            with pytest.raises(dk.MetricInputError, match="outside"):
+    # distance shares pairwise's id rule: the kernel rejects an id outside
+    # [0, n) (the adversary's session does), pairwise a float or a bool
+    outside = ("outside", "outside", "two distinct points")
+    for sp, range_message in zip(spaces, outside):
+        for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-n - 1, 2)):
+            with pytest.raises(dk.MetricInputError, match=range_message):
+                sp.distance(i, j)
+        for i, j in ((1.5, 0), (0, 2.0), (True, 2), (2, False)):
+            with pytest.raises(dk.MetricInputError, match="1-D integer array"):
                 sp.distance(i, j)
         assert sp.oracle.query_count == 0
         assert sp.distance(n - 1, 0) == sp.distance(0, n - 1)
